@@ -29,8 +29,8 @@ dash cell means the instrument had no value for that hour.
 
 from __future__ import annotations
 
+import re
 import shlex
-import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -67,6 +67,9 @@ __all__ = [
 # Keys allowed on a weather observation line: the record attributes
 # plus the zone code.
 WEATHER_KEYS = ("time_zone",) + WEATHER_ATTRIBUTES
+# Set forms for the per-token membership tests of the weather parser.
+_WEATHER_KEY_SET = frozenset(WEATHER_KEYS)
+_AIRPORT_ONLY_SET = frozenset(AIRPORT_ONLY_ATTRIBUTES)
 
 # Block headers use the upper-case external codes.
 CONTAMINANT_CODES = {c.upper(): c for c in CONTAMINANTS}
@@ -124,24 +127,20 @@ class QuarantinedLine:
 
 
 class Quarantine:
-    """Append-only, thread-safe sink for quarantined lines."""
+    """Append-only sink for quarantined lines."""
 
     def __init__(self) -> None:
         self._items: list[QuarantinedLine] = []
-        self._lock = threading.Lock()
 
     def extend(self, items: Iterable[QuarantinedLine]) -> None:
-        with self._lock:
-            self._items.extend(items)
+        self._items.extend(items)
 
     @property
     def items(self) -> tuple[QuarantinedLine, ...]:
-        with self._lock:
-            return tuple(self._items)
+        return tuple(self._items)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
 
 def _content_lines(body: str) -> list[tuple[int, str]]:
@@ -154,11 +153,58 @@ def _content_lines(body: str) -> list[tuple[int, str]]:
     return out
 
 
+# The zero-padded ASCII form every serializer writes. Anything else
+# (unpadded fields, other digits, lower-case 't') is left to strptime.
+_TIMESTAMP_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
+
+
+def _parse_timestamp_text(text: str) -> datetime:
+    """datetime.strptime(text, TIMESTAMP_FMT), fast for the padded form.
+
+    Accepts and rejects exactly what strptime does: a fixed-width match
+    whose fields are out of range falls through to strptime, which then
+    raises its own ValueError.
+    """
+    m = _TIMESTAMP_RE.fullmatch(text)
+    if m is not None:
+        try:
+            return datetime(*map(int, m.groups()))
+        except ValueError:
+            pass
+    return datetime.strptime(text, TIMESTAMP_FMT)
+
+
 def _check_timestamp_text(text: str, origin: str, line_no: int) -> None:
     try:
-        datetime.strptime(text, TIMESTAMP_FMT)
+        _parse_timestamp_text(text)
     except ValueError:
         raise ParseError(f"bad timestamp {text!r}", origin=origin, line_no=line_no)
+
+
+# The words shlex.quote writes: bare runs and '...' or "..." runs,
+# concatenated. Whitespace is shlex's own set, not \s. The word is
+# written as bare* (quoted bare*)* so that no two ways of splitting it
+# exist; a nested (bare+ | quoted)+ backtracks exponentially on an
+# unclosed quote.
+_BARE = r"""[^ \t\r\n'"]*"""
+_WORD = rf"""(?=[^ \t\r\n]){_BARE}(?:(?:'[^']*'|"[^"]*"){_BARE})*"""
+_LINE_RE = re.compile(rf"[ \t\r\n]*(?:{_WORD}(?:[ \t\r\n]+{_WORD})*)?[ \t\r\n]*")
+_WORD_RE = re.compile(_WORD)
+_PIECE_RE = re.compile(r"""'([^']*)'|"([^"]*)"|([^'"]+)""")
+
+
+def _split_words(line: str) -> list[str]:
+    """shlex.split(line), fast for lines without backslashes.
+
+    A line holding a backslash or not matching the quoting grammar
+    (say, an unclosed quote) goes to shlex.split itself, so odd input
+    gets the same tokens or the same ValueError.
+    """
+    if "\\" in line or _LINE_RE.fullmatch(line) is None:
+        return shlex.split(line)
+    return ["".join(map("".join, _PIECE_RE.findall(w))) if "'" in w or '"' in w
+            else w for w in _WORD_RE.findall(line)]
 
 
 def parse_weather_observations(
@@ -178,7 +224,7 @@ def parse_weather_observations(
     quarantined: list[QuarantinedLine] = []
     for line_no, line in _content_lines(payload.body):
         try:
-            tokens = shlex.split(line)
+            tokens = _split_words(line)
         except ValueError as exc:
             raise ParseError(f"unbalanced quoting: {exc}", origin=payload.origin,
                              line_no=line_no)
@@ -194,19 +240,20 @@ def parse_weather_observations(
                 reason=f"unknown station id {file_id!r}",
             ))
             continue
+        personal = not station.is_airport
         fields: dict[str, str] = {}
         for tok in tokens[2:]:
             key, sep, value = tok.partition("=")
             if not sep or not key:
                 raise ParseError(f"expected key=value, got {tok!r}",
                                  origin=payload.origin, line_no=line_no)
-            if key not in WEATHER_KEYS:
+            if key not in _WEATHER_KEY_SET:
                 raise ParseError(f"unknown weather key {key!r}",
                                  origin=payload.origin, line_no=line_no)
             if key in fields:
                 raise ParseError(f"duplicate key {key!r}",
                                  origin=payload.origin, line_no=line_no)
-            if not station.is_airport and key in AIRPORT_ONLY_ATTRIBUTES:
+            if personal and key in _AIRPORT_ONLY_SET:
                 raise ParseError(
                     f"key {key!r} is airport-only but {file_id} is a personal station",
                     origin=payload.origin, line_no=line_no)
@@ -294,12 +341,16 @@ def parse_pollution_tables(payload: SourcePayload) -> list[RawReading]:
         if len(tokens) not in (1, 2):
             raise ParseError(f"expected 'HH:MM value', got {line!r}",
                              origin=payload.origin, line_no=line_no)
-        hhmm = tokens[0]
         try:
-            t = datetime.strptime(hhmm, "%H:%M")
+            # The date is a placeholder: the wrapped text parses exactly
+            # when strptime(tokens[0], "%H:%M") would.
+            t = _parse_timestamp_text(f"2000-01-01T{tokens[0]}:00")
         except ValueError:
-            raise ParseError(f"bad hour {hhmm!r}", origin=payload.origin,
+            raise ParseError(f"bad hour {tokens[0]!r}", origin=payload.origin,
                              line_no=line_no)
+        # Key and stamp the cell by the parsed time, so '3:00' and
+        # '03:00' are the same cell.
+        hhmm = f"{t.hour:02d}:{t.minute:02d}"
         if t.hour in (0, 1):
             raise ParseError("hourly tables never list hours 00 or 01",
                              origin=payload.origin, line_no=line_no)

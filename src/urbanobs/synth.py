@@ -15,6 +15,7 @@ always produces the same holes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -91,10 +92,10 @@ class SynthProfile:
                 raise ConfigError(f"synth peak window {lo}..{hi} outside the day")
 
 
-def _rng(profile: SynthProfile, *parts) -> random.Random:
+def _rng(seed: int, *parts) -> random.Random:
     # String-seeded Random is stable across platforms and Python builds,
     # which is what makes the corpus reproducible byte for byte.
-    return random.Random("|".join([str(profile.seed), *map(str, parts)]))
+    return random.Random("|".join([str(seed), *map(str, parts)]))
 
 
 def route_distance_m(profile: SynthProfile, route: TrafficRoute) -> int:
@@ -103,9 +104,17 @@ def route_distance_m(profile: SynthProfile, route: TrafficRoute) -> int:
     Great-circle distance times a seeded road winding factor, clamped
     into the observed bounds; constant for a given (seed, route).
     """
-    rng = _rng(profile, "routedist", route.file_id)
-    straight = haversine_m(route.start_lat, route.start_long,
-                           route.end_lat, route.end_long)
+    return _route_distance_m(profile.seed, route.file_id, route.start_lat,
+                             route.start_long, route.end_lat, route.end_long)
+
+
+# Keyed on plain values: a SynthProfile is unhashable (its baselines
+# are a dict), and every traffic poll asks for the same few distances.
+@functools.lru_cache(maxsize=4096)
+def _route_distance_m(seed: int, file_id: str, start_lat: float,
+                      start_long: float, end_lat: float, end_long: float) -> int:
+    rng = _rng(seed, "routedist", file_id)
+    straight = haversine_m(start_lat, start_long, end_lat, end_long)
     factor = rng.uniform(1.18, 1.42)
     dist = int(round(straight * factor))
     return max(ROUTE_DIST_MIN_M, min(ROUTE_DIST_MAX_M, dist))
@@ -124,7 +133,7 @@ def gen_weather_day(profile: SynthProfile, meta, day: date,
     event flags and a METAR line.
     """
     station = meta.station
-    rng = _rng(profile, "weather", station.file_id, day.isoformat())
+    rng = _rng(profile.seed, "weather", station.file_id, day.isoformat())
     rows = []
     t = datetime.combine(day, time(0, 0))
     end = t + timedelta(days=1)
@@ -230,7 +239,8 @@ def gen_traffic_response(profile: SynthProfile, route: TrafficRoute,
     """One travel-time measurement for one route at one instant."""
     dist = route_distance_m(profile, route)
     t_std = max(1, int(round(dist / (profile.free_flow_kmh / 3.6))))
-    rng = _rng(profile, "traffic", route.file_id, at.strftime(TIMESTAMP_FMT))
+    ts_text = at.strftime(TIMESTAMP_FMT)
+    rng = _rng(profile.seed, "traffic", route.file_id, ts_text)
     minute = at.hour * 60 + at.minute
     if _in_peak(minute, profile.peak_windows):
         m = profile.peak_multiplier + rng.uniform(-0.2, 0.2)
@@ -238,10 +248,9 @@ def gen_traffic_response(profile: SynthProfile, route: TrafficRoute,
     else:
         m = 1.0 + rng.uniform(0.0, 0.08)
     t_curr = max(t_std, int(round(t_std * m)))
-    body = traffic_payload_body(route.file_id, at.strftime(TIMESTAMP_FMT),
+    body = traffic_payload_body(route.file_id, ts_text,
                                 str(dist), str(t_std), str(t_curr))
-    return SourcePayload("traffic", at, body,
-                         f"synth:traffic/{route.file_id}/{at.strftime(TIMESTAMP_FMT)}")
+    return SourcePayload("traffic", at, body, f"synth:traffic/{route.file_id}/{ts_text}")
 
 
 def gen_pollution_day(profile: SynthProfile, station: PollutionStation,
@@ -255,7 +264,7 @@ def gen_pollution_day(profile: SynthProfile, station: PollutionStation,
     """
     if not (2 <= request_hour <= 23):
         raise ConfigError(f"request hour {request_hour} outside 02..23")
-    rng = _rng(profile, "pollution", station.file_id, day.isoformat())
+    rng = _rng(profile.seed, "pollution", station.file_id, day.isoformat())
     outage = rng.random() < profile.outage_prob
     episode = rng.random() < profile.episode_prob
     ep_from = rng.randint(7, 15)

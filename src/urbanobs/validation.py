@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Mapping
 
-from .connectors import RawReading, TIMESTAMP_FMT
+from .connectors import RawReading, _parse_timestamp_text
 from .errors import ConfigError, PreconditionError, RecordRejected
 from .model import (
     AIRPORT_ONLY_ATTRIBUTES,
@@ -175,7 +175,7 @@ class ValidationReport:
 
 def _parse_timestamp(raw: RawReading) -> datetime:
     try:
-        return datetime.strptime(raw.timestamp, TIMESTAMP_FMT)
+        return _parse_timestamp_text(raw.timestamp)
     except (TypeError, ValueError):
         raise RecordRejected(
             f"unusable timestamp {raw.timestamp!r} for {raw.target}",

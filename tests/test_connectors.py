@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import shlex
 from datetime import date, datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from urbanobs.connectors import (
     NA_CELL,
+    TIMESTAMP_FMT,
+    WEATHER_KEYS,
     FixtureDirectorySource,
     Quarantine,
     SourcePayload,
@@ -18,6 +22,8 @@ from urbanobs.connectors import (
     pollution_payload_body,
     traffic_payload_body,
     weather_payload_body,
+    _parse_timestamp_text,
+    _split_words,
 )
 from urbanobs.errors import (
     ConflictError,
@@ -26,6 +32,7 @@ from urbanobs.errors import (
     SourceError,
 )
 from urbanobs.model import CONTAMINANTS, PollutionStation, TrafficRoute
+from urbanobs.validation import RuleSet, validate_pollution
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MANIFEST = json.loads((FIXTURES / "manifest.json").read_text())
@@ -340,3 +347,145 @@ def test_payload_kind_checked():
         SourcePayload("video", FETCHED, "x\n", "x")
     with pytest.raises(PreconditionError):
         SourcePayload("weather", FETCHED, "", "x")
+
+
+class TestUnpaddedPollutionHour:
+    def test_unpadded_hour_conflicts_with_padded(self):
+        bad = ("station=sima_centro contaminant=PM10 date=2016-05-16\n"
+               "03:00 40\n3:00 41\n")
+        with pytest.raises(ConflictError, match="03:00"):
+            parse_pollution_tables(SourcePayload("pollution", FETCHED, bad, "x"))
+
+    def test_lone_unpadded_hour_stored_at_padded_hour(self):
+        body = "station=sima_centro contaminant=PM10 date=2016-05-16\n3:00 41\n"
+        readings = parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+        assert [r.timestamp for r in readings] == ["2016-05-16T03:00:00"]
+        (candidate,) = assemble_station_day(readings, STATION, DAY)
+        record, report = validate_pollution(candidate, RuleSet.defaults())
+        assert record.timestamp == datetime(2016, 5, 16, 3, 0, 0)
+        assert record.pm10 == 41 and report.clean
+
+
+# Characters that stress the tokenizer: both quotes, the escape, shlex
+# whitespace, '#', whitespace shlex does not split on, and non-ASCII.
+_TRICKY = st.sampled_from(list("'\"\\# \t\r\n=ab\x0b\x0c\xa0é雨"))
+_LINE_TEXT = st.text(st.one_of(_TRICKY, st.characters()), max_size=40)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+class TestFastTokenizer:
+    @settings(max_examples=1000, deadline=None)
+    @given(_LINE_TEXT)
+    @example("cond='Partly Cloudy' metar='METAR MMMY 160800Z'")
+    @example("a'b'\"c d\"e '' \"\"")
+    @example("it'\"'\"'s")
+    @example("'unclosed")
+    @example("\"unclosed")
+    @example("back\\ slash")
+    @example("x\x0by \xa0z")
+    def test_matches_shlex_split(self, text):
+        assert _outcome(_split_words, text) == _outcome(shlex.split, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_LINE_TEXT.filter(lambda v: len(v.splitlines()) <= 1))
+    @example("temp='20")
+    @example('cond="Clear')
+    def test_parse_error_text_unchanged(self, stations, text):
+        line = f"pws_obispado 2016-05-16T08:05:00 {text}"
+        try:
+            shlex.split(line.strip())
+        except ValueError as exc:
+            want = str(ParseError(f"unbalanced quoting: {exc}", origin="x", line_no=1))
+        else:
+            return
+        with pytest.raises(ParseError) as err:
+            parse_weather_observations(SourcePayload("weather", FETCHED, line, "x"),
+                                       stations)
+        assert str(err.value) == want
+
+    def test_long_unclosed_line_fails_promptly(self, stations):
+        # A backtracking word pattern would take exponential time here.
+        line = "pws_obispado 2016-05-16T08:05:00 " + "ab'c'd " * 2000 + "temp='20"
+        with pytest.raises(ParseError, match="unbalanced quoting"):
+            parse_weather_observations(SourcePayload("weather", FETCHED, line, "x"),
+                                       stations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(WEATHER_KEYS),
+        st.text(st.one_of(_TRICKY, st.characters()).filter(
+            lambda ch: ch.splitlines() == [ch]), max_size=20),
+        max_size=8))
+    @example({"cond": "it's \"here\"", "metar": "METAR 'x' \"y\" z", "icon": "雨"})
+    def test_serializer_round_trip(self, stations, fields):
+        # Values hold no line breaks: a payload line is one observation.
+        airport = next(s for s in stations.values() if s.is_airport)
+        body = weather_payload_body([(airport.file_id, "2016-05-16T08:00:00", fields)])
+        readings, quarantined = parse_weather_observations(
+            SourcePayload("weather", FETCHED, body, "x"), stations)
+        assert quarantined == []
+        assert [dict(r.fields) for r in readings] == [fields]
+
+
+_TS_BOUNDARY = [
+    "2016-05-16T08:05:00",
+    "2016-5-6T1:2:3",
+    "2016-05-16t08:05:00",
+    "2016-02-29T00:00:00",
+    "2015-02-29T00:00:00",
+    "2016-02-30T00:00:00",
+    "2016-13-01T00:00:00",
+    "2016-00-10T00:00:00",
+    "0000-01-01T00:00:00",
+    "0001-01-01T00:00:00",
+    "9999-12-31T23:59:59",
+    "2016-05-16T24:00:00",
+    "2016-05-16T23:60:00",
+    "2016-05-16T23:59:60",
+    "2016-05-16T23:59:61",
+    "２０１６-05-16T08:05:00",
+    "2016-05-16T08:05:00 ",
+    " 2016-05-16T08:05:00",
+    "2016-05-16 08:05:00",
+    "2016-05-16T08:05",
+    "2016-05-16T08:05:00.5",
+    "+016-05-16T08:05:00",
+    "",
+]
+
+
+def _reference_strptime(text):
+    return datetime.strptime(text, TIMESTAMP_FMT)
+
+
+# Timestamp-shaped text: fields of ASCII or full-width digits, each a
+# digit short of, at, or a digit over its padded width.
+_DIGIT = st.sampled_from("0123456789０１２")
+_YEAR = st.text(_DIGIT, min_size=3, max_size=5)
+_FIELD = st.text(_DIGIT, min_size=1, max_size=3)
+_NEAR_TIMESTAMP = st.builds(
+    "{}-{}-{}{}{}:{}:{}".format, _YEAR, _FIELD, _FIELD,
+    st.sampled_from(["T", "t", " "]), _FIELD, _FIELD, _FIELD)
+# Numeric fields around their valid ranges, zero-padded or not.
+_RANGED_TIMESTAMP = st.builds(
+    lambda pad, y, *rest: f"{y:04d}-" + (
+        "{:02d}-{:02d}T{:02d}:{:02d}:{:02d}" if pad else "{}-{}T{}:{}:{}").format(*rest),
+    st.booleans(), st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+    st.integers(0, 25), st.integers(0, 61), st.integers(0, 62))
+
+
+class TestTimestampHelper:
+    @pytest.mark.parametrize("text", _TS_BOUNDARY)
+    def test_boundary_strings_match_strptime(self, text):
+        assert _outcome(_parse_timestamp_text, text) == _outcome(_reference_strptime, text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(_RANGED_TIMESTAMP, _NEAR_TIMESTAMP, st.text(max_size=25)))
+    def test_random_strings_match_strptime(self, text):
+        assert _outcome(_parse_timestamp_text, text) == _outcome(_reference_strptime, text)
