@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from .connectors import FixtureDirectorySource
-from .errors import Error
+from .errors import Error, RunAborted
 from .scheduler import SimulatedClock, WallClock, build_plan, run_day
 from .storage import (
     DB_TIMESTAMP_FMT,
@@ -132,7 +132,12 @@ def cmd_run(args) -> int:
             plan = build_plan(cfg.windows, cfg.routes, day)
             clock = (SimulatedClock(datetime.combine(day, time(0, 0)))
                      if args.clock == "simulated" else WallClock())
-            summary = run_day(plan, source, store, cfg, clock=clock)
+            try:
+                summary = run_day(plan, source, store, cfg, clock=clock)
+            except RunAborted as exc:
+                if exc.summary is not None:
+                    print(exc.summary.line())
+                raise
             print(summary.line())
     return 0
 

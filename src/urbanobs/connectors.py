@@ -29,11 +29,13 @@ dash cell means the instrument had no value for that hour.
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
+from stat import S_ISREG
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConflictError, ParseError, PreconditionError, SourceError
@@ -294,6 +296,24 @@ def parse_traffic_response(payload: SourcePayload, route: TrafficRoute) -> RawRe
     )
 
 
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _is_iso_date(text: str) -> bool:
+    """True for a valid padded YYYY-MM-DD date.
+
+    The fullmatch comes first because date.fromisoformat accepts
+    '20160516' and '2016-W20-1' from Python 3.11 on.
+    """
+    if _DATE_RE.fullmatch(text) is None:
+        return False
+    try:
+        date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_pollution_tables(payload: SourcePayload) -> list[RawReading]:
     """Parse hourly contaminant tables into per-cell readings.
 
@@ -325,9 +345,7 @@ def parse_pollution_tables(payload: SourcePayload) -> list[RawReading]:
             if head["contaminant"] not in CONTAMINANT_CODES:
                 raise ParseError(f"unknown contaminant {head['contaminant']!r}",
                                  origin=payload.origin, line_no=line_no)
-            try:
-                date.fromisoformat(head["date"])
-            except ValueError:
+            if not _is_iso_date(head["date"]):
                 raise ParseError(f"bad date {head['date']!r}",
                                  origin=payload.origin, line_no=line_no)
             station = head["station"]
@@ -464,11 +482,17 @@ class FixtureDirectorySource:
         <root>/pollution/<station_file_id>/<YYYY-MM-DD>.txt
 
     Traffic fixture files hold one record per line; the fetch picks the
-    line whose timestamp matches the requested instant.
+    first line whose timestamp matches the requested instant. A route's
+    day file is read once and indexed by timestamp; each poll stats it
+    and reads it again only when its size or mtime has changed.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        # route file_id -> (day, path text, (st_mtime_ns, st_size),
+        # {timestamp token: line}) for the day last polled.
+        self._traffic: dict[str, tuple[date, str, tuple[int, int] | None,
+                                       dict[str, str]]] = {}
 
     def _read(self, kind: str, target: str, day: date) -> tuple[str, str]:
         path = self.root / kind / target / f"{day.isoformat()}.txt"
@@ -481,12 +505,32 @@ class FixtureDirectorySource:
         return SourcePayload("weather", fetched_at or datetime.now(), body, origin)
 
     def fetch_traffic(self, route: TrafficRoute, at: datetime) -> SourcePayload:
-        body, origin = self._read("traffic", route.file_id, at.date())
+        day = at.date()
+        cached = self._traffic.get(route.file_id)
+        if cached is None or cached[0] != day:
+            path = self.root / "traffic" / route.file_id / f"{day.isoformat()}.txt"
+            cached = (day, str(path), None, {})
+        _, origin, signature, index = cached
+        try:
+            st = os.stat(origin)
+        except OSError:
+            st = None
+        if st is None or not S_ISREG(st.st_mode):
+            raise SourceError(
+                f"no traffic fixture for {route.file_id} on {day}: {origin}")
+        if (st.st_mtime_ns, st.st_size) != signature:
+            index = {}
+            for _, line in _content_lines(Path(origin).read_text()):
+                tokens = line.split(None, 2)
+                if len(tokens) > 1:
+                    index.setdefault(tokens[1], line)
+            self._traffic[route.file_id] = (
+                day, origin, (st.st_mtime_ns, st.st_size), index)
         want = at.strftime(TIMESTAMP_FMT)
-        for _, line in _content_lines(body):
-            if line.split()[1:2] == [want]:
-                return SourcePayload("traffic", at, line + "\n", origin)
-        raise SourceError(f"no traffic fixture line at {want} in {origin}")
+        line = index.get(want)
+        if line is None:
+            raise SourceError(f"no traffic fixture line at {want} in {origin}")
+        return SourcePayload("traffic", at, line + "\n", origin)
 
     def fetch_pollution(self, station: PollutionStation, day: date,
                         request_hour: int,

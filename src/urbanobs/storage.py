@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import sqlite3
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
@@ -281,6 +280,17 @@ def queryable_attributes(table: str) -> tuple[str, ...]:
     return tuple(_PLAIN_ATTRS[table]) + tuple(_CODE_ATTRS[table])
 
 
+# One statement per record: a row whose (timestamp, location) is already
+# stored is skipped, so re-runs never overwrite stored data.
+_VALUE_COLS = {t: TABLE_COLUMNS[t][2:-1] for t in RECORD_TABLES}
+_INSERT_SQL = {
+    t: (f"INSERT INTO {t} ({', '.join(TABLE_COLUMNS[t][1:])}) "
+        f"VALUES ({', '.join('?' * (len(TABLE_COLUMNS[t]) - 1))}) "
+        f"ON CONFLICT({_TS_COL[t]}, {_LOCATION_COL[t]}) DO NOTHING")
+    for t in RECORD_TABLES
+}
+
+
 def _ts_text(ts: datetime) -> str:
     return ts.strftime(DB_TIMESTAMP_FMT)
 
@@ -288,19 +298,17 @@ def _ts_text(ts: datetime) -> str:
 class Store:
     """One open database handle plus the operations the pipeline needs.
 
-    A single connection guarded by a re-entrant lock: writers serialize
-    (sqlite would anyway) while the day-level transaction batches their
-    commits.
+    A single connection used from one thread; the day-level transaction
+    batches the commits of its inserts.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
         try:
-            self._conn = sqlite3.connect(self.path, check_same_thread=False)
+            self._conn = sqlite3.connect(self.path)
             self._conn.execute("PRAGMA foreign_keys = ON")
         except sqlite3.Error as exc:
             raise StorageUnavailable(f"cannot open store at {self.path}: {exc}")
-        self._lock = threading.RLock()
         self._deferred = 0
         # (table, file_id/code) -> row id; safe because ids never change.
         self._id_cache: dict[tuple[str, str], int] = {}
@@ -334,7 +342,7 @@ class Store:
         set raises MigrationRequired; unrelated extra tables are
         ignored.
         """
-        with self._lock, self._conn:
+        with self._conn:
             for name, sql in _SCHEMA.items():
                 row = self._conn.execute(
                     "SELECT name FROM sqlite_master WHERE type='table' AND name=?",
@@ -352,25 +360,38 @@ class Store:
 
     # -- commit control ---------------------------------------------------
 
+    def _rollback(self) -> None:
+        try:
+            self._conn.rollback()
+        except sqlite3.OperationalError as exc:
+            raise StorageUnavailable(
+                f"rollback failed on {self.path}: {exc}") from exc
+
     def _commit(self) -> None:
-        if not self._deferred:
+        if self._deferred:
+            return
+        try:
             self._conn.commit()
+        except sqlite3.OperationalError as exc:
+            # Drop the failed transaction so no later commit publishes it.
+            self._rollback()
+            raise StorageUnavailable(
+                f"commit failed on {self.path}: {exc}") from exc
 
     @contextmanager
     def deferred(self):
         """Batch many inserts into one transaction (used per run day)."""
-        with self._lock:
-            self._deferred += 1
-            try:
-                yield self
-            except BaseException:
-                self._deferred -= 1
-                if not self._deferred:
-                    self._conn.rollback()
-                raise
-            else:
-                self._deferred -= 1
-                self._commit()
+        self._deferred += 1
+        try:
+            yield self
+        except BaseException:
+            self._deferred -= 1
+            if not self._deferred:
+                self._rollback()
+            raise
+        else:
+            self._deferred -= 1
+            self._commit()
 
     # -- locations and lookups ---------------------------------------------
 
@@ -399,38 +420,36 @@ class Store:
             raise StorageError(f"not a location object: {loc!r}")
         pk = _LOCATION_COL[{"locations_w": "weathers", "locations_t": "traffics",
                             "locations_p": "pollutions"}[table]]
-        with self._lock:
-            row = self._execute(
-                f"SELECT {pk} FROM {table} WHERE file_id = ?",
-                (loc.file_id,)).fetchone()
-            if row is not None:
-                sets = ", ".join(f"{k} = ?" for k in fields)
-                self._execute(
-                    f"UPDATE {table} SET {sets} WHERE {pk} = ?",
-                    (*fields.values(), row[0]))
-                self._commit()
-                return row[0]
-            cols = ", ".join(["file_id", *fields])
-            marks = ", ".join("?" * (len(fields) + 1))
-            cur = self._execute(
-                f"INSERT INTO {table} ({cols}) VALUES ({marks})",
-                (loc.file_id, *fields.values()))
+        row = self._execute(
+            f"SELECT {pk} FROM {table} WHERE file_id = ?",
+            (loc.file_id,)).fetchone()
+        if row is not None:
+            sets = ", ".join(f"{k} = ?" for k in fields)
+            self._execute(
+                f"UPDATE {table} SET {sets} WHERE {pk} = ?",
+                (*fields.values(), row[0]))
             self._commit()
-            return cur.lastrowid
+            return row[0]
+        cols = ", ".join(["file_id", *fields])
+        marks = ", ".join("?" * (len(fields) + 1))
+        cur = self._execute(
+            f"INSERT INTO {table} ({cols}) VALUES ({marks})",
+            (loc.file_id, *fields.values()))
+        self._commit()
+        return cur.lastrowid
 
     def seed_lookup(self, table: str, entries: Iterable[Lookup]) -> None:
         """Load or refresh code-table rows; idempotent per code."""
         if table not in LOOKUP_TABLES:
             raise StorageError(f"not a lookup table: {table!r}")
         code_col = _LOOKUP_CODE_COL[table]
-        with self._lock:
-            for e in entries:
-                self._execute(
-                    f"INSERT INTO {table} ({code_col}, description) VALUES (?, ?) "
-                    f"ON CONFLICT({code_col}) DO UPDATE "
-                    f"SET description = excluded.description",
-                    (e.code, e.description))
-            self._commit()
+        for e in entries:
+            self._execute(
+                f"INSERT INTO {table} ({code_col}, description) VALUES (?, ?) "
+                f"ON CONFLICT({code_col}) DO UPDATE "
+                f"SET description = excluded.description",
+                (e.code, e.description))
+        self._commit()
 
     def location_ids(self, table: str) -> dict[str, int]:
         """file_id -> row id for one location catalog."""
@@ -475,26 +494,15 @@ class Store:
         raise StorageError(f"not a record object: {rec!r}")
 
     def _insert_row(self, table: str, loc_id: int, ts: datetime, cols: dict) -> str:
-        ts_col, loc_col = _TS_COL[table], _LOCATION_COL[table]
-        with self._lock:
-            ts_text = _ts_text(ts)
-            dup = self._execute(
-                f"SELECT 1 FROM {table} WHERE {ts_col} = ? AND {loc_col} = ?",
-                (ts_text, loc_id)).fetchone()
-            if dup is not None:
-                return "duplicate"
-            names = ", ".join([ts_col, loc_col, *cols])
-            marks = ", ".join("?" * (len(cols) + 2))
-            try:
-                self._conn.execute(
-                    f"INSERT INTO {table} ({names}) VALUES ({marks})",
-                    (ts_text, loc_id, *cols.values()))
-            except sqlite3.IntegrityError as exc:
-                raise ReferentialError(f"insert into {table} failed: {exc}")
-            except sqlite3.OperationalError as exc:
-                raise StorageError(f"insert into {table} failed: {exc}")
-            self._commit()
-            return "inserted"
+        args = (_ts_text(ts), *map(cols.__getitem__, _VALUE_COLS[table]), loc_id)
+        try:
+            cur = self._conn.execute(_INSERT_SQL[table], args)
+        except sqlite3.IntegrityError as exc:
+            raise ReferentialError(f"insert into {table} failed: {exc}")
+        except sqlite3.OperationalError as exc:
+            raise StorageUnavailable(f"insert into {table} failed: {exc}") from exc
+        self._commit()
+        return "inserted" if cur.rowcount else "duplicate"
 
     def _insert_weather(self, rec: WeatherRecord) -> str:
         loc_id = self._resolve("locations_w", "file_id", rec.station,
@@ -576,8 +584,7 @@ class Store:
                f"AND t.{ts_col} BETWEEN ? AND ? "
                f"ORDER BY t.{loc_col}, t.{ts_col}")
         args = (*location_ids, _ts_text(start), _ts_text(end))
-        with self._lock:
-            rows = tuple(tuple(r) for r in self._execute(sql, args))
+        rows = tuple(tuple(r) for r in self._execute(sql, args))
         return QueryResult(kind=table, columns=columns, rows=rows)
 
     def fetch_record(self, table: str, location_id: int, ts: datetime) -> dict | None:
@@ -609,15 +616,13 @@ class Store:
         """
         out = []
         for table in RECORD_TABLES:
-            ts_col = _TS_COL[table]
-            months = self._execute(
-                f"SELECT COUNT(DISTINCT substr({ts_col}, 1, 7)) FROM {table}"
-            ).fetchone()[0]
-            for col in REPORT_COLUMNS[table]:
-                nonempty = self._execute(
-                    f"SELECT COUNT({col}) FROM {table}").fetchone()[0]
-                avg = nonempty / months if months else 0.0
-                out.append(SummaryRow(table, col, nonempty, avg))
+            columns = REPORT_COLUMNS[table]
+            counts = ", ".join(f"COUNT({col})" for col in columns)
+            months, *nonempty = self._execute(
+                f"SELECT COUNT(DISTINCT substr({_TS_COL[table]}, 1, 7)), "
+                f"{counts} FROM {table}").fetchone()
+            for col, n in zip(columns, nonempty):
+                out.append(SummaryRow(table, col, n, n / months if months else 0.0))
         return out
 
     # -- integrity ----------------------------------------------------------

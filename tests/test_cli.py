@@ -7,13 +7,14 @@ import pytest
 
 from urbanobs.cli import main
 from urbanobs.config import STORE_ENV_VAR
+from urbanobs.errors import RunAborted
 from urbanobs.storage import Store, import_csv
 from urbanobs.synth import (
     gen_pollution_day,
     gen_traffic_response,
     gen_weather_day,
 )
-from urbanobs.scheduler import TRAFFIC_POLL, build_plan
+from urbanobs.scheduler import TRAFFIC_POLL, RunSummary, build_plan
 from tests.conftest import TINY_CFG_TEXT
 
 DAY = date(2016, 5, 16)
@@ -103,6 +104,20 @@ class TestRun:
     def test_rerun_counts_duplicates(self, cli, collected):
         out, _ = cli("run", "--days", "1", "--start", DAY.isoformat())
         assert "stored=0" in out and "duplicates=98" in out
+
+    def test_aborted_day_prints_partial_summary(self, cli, initialized,
+                                                monkeypatch):
+        def abort(plan, *args, **kwargs):
+            summary = RunSummary(day=plan.day, fired=2, stored=5)
+            raise RunAborted(f"store unavailable on {plan.day}: disk full",
+                             summary)
+
+        monkeypatch.setattr("urbanobs.cli.run_day", abort)
+        out, err = cli("run", "--days", "2", "--start", DAY.isoformat(),
+                       expect=1)
+        assert out == ("day 2016-05-16: fired=2 skipped=0 stored=5 "
+                       "duplicates=0 rejected=0 quarantined=0 failures=0\n")
+        assert "error: store unavailable on 2016-05-16: disk full" in err
 
     def test_unknown_source(self, cli, initialized):
         _, err = cli("run", "--days", "1", "--start", DAY.isoformat(),

@@ -32,6 +32,8 @@ from urbanobs.errors import (
     SourceError,
 )
 from urbanobs.model import CONTAMINANTS, PollutionStation, TrafficRoute
+from urbanobs.scheduler import TRAFFIC_POLL, build_plan
+from urbanobs.synth import gen_traffic_response
 from urbanobs.validation import RuleSet, validate_pollution
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -341,12 +343,123 @@ class TestFixtureDirectorySource:
         with pytest.raises(SourceError, match="09:00"):
             src.fetch_traffic(ROUTE, datetime(2016, 5, 16, 9, 0, 0))
 
+    def test_route_day_file_read_once(self, tmp_path, monkeypatch):
+        src = FixtureDirectorySource(self._layout(tmp_path))
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        for _ in range(3):
+            for minute in (48, 0):
+                at = datetime(2016, 5, 16, 7 if minute else 8, minute, 0)
+                assert src.fetch_traffic(ROUTE, at).body.startswith(ROUTE.file_id)
+            with pytest.raises(SourceError):
+                src.fetch_traffic(ROUTE, datetime(2016, 5, 16, 9, 0, 0))
+        assert reads == ["2016-05-16.txt"]
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        root = self._layout(tmp_path)
+        src = FixtureDirectorySource(root)
+        at = datetime(2016, 5, 16, 8, 0, 0)
+        assert src.fetch_traffic(ROUTE, at).body.endswith(" 1998\n")
+        (root / "traffic" / ROUTE.file_id / "2016-05-16.txt").write_text(
+            "downtown-aeropuerto 2016-05-16T08:00:00 18560 1215 12345\n")
+        assert src.fetch_traffic(ROUTE, at).body.endswith(" 12345\n")
+        with pytest.raises(SourceError, match="07:48"):
+            src.fetch_traffic(ROUTE, datetime(2016, 5, 16, 7, 48, 0))
+
+    def test_first_line_for_an_instant_wins(self, tmp_path):
+        root = self._layout(tmp_path)
+        with (root / "traffic" / ROUTE.file_id / "2016-05-16.txt").open("a") as f:
+            f.write("downtown-aeropuerto 2016-05-16T08:00:00 18560 1215 3000\n")
+        src = FixtureDirectorySource(root)
+        payload = src.fetch_traffic(ROUTE, datetime(2016, 5, 16, 8, 0, 0))
+        assert payload.body == "downtown-aeropuerto 2016-05-16T08:00:00 18560 1215 1998\n"
+
+    def test_origin_for_relative_root(self, tmp_path, monkeypatch):
+        root = self._layout(tmp_path)
+        monkeypatch.chdir(root)
+        src = FixtureDirectorySource(".")
+        at = datetime(2016, 5, 16, 8, 0, 0)
+        want = str(Path(".") / "traffic" / ROUTE.file_id / "2016-05-16.txt")
+        assert want == "traffic/downtown-aeropuerto/2016-05-16.txt"
+        assert src.fetch_traffic(ROUTE, at).origin == want
+        with pytest.raises(SourceError) as err:
+            src.fetch_traffic(ROUTE, datetime(2016, 5, 17, 8, 0, 0))
+        assert str(err.value).endswith(
+            ": " + str(Path(".") / "traffic" / ROUTE.file_id / "2016-05-17.txt"))
+
+
+def _scan_fetch_traffic(root: Path, route, at: datetime) -> SourcePayload:
+    """The per-poll read and scan the indexed fetch replaced."""
+    day = at.date()
+    path = root / "traffic" / route.file_id / f"{day.isoformat()}.txt"
+    if not path.is_file():
+        raise SourceError(f"no traffic fixture for {route.file_id} on {day}: {path}")
+    want = at.strftime(TIMESTAMP_FMT)
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.split()[1:2] == [want]:
+            return SourcePayload("traffic", at, line + "\n", str(path))
+    raise SourceError(f"no traffic fixture line at {want} in {path}")
+
+
+def _fetch_outcome(fetch, *args):
+    try:
+        p = fetch(*args)
+    except SourceError as exc:
+        return ("error", str(exc))
+    return (p.source_kind, p.fetched_at, p.body, p.origin)
+
+
+def test_indexed_traffic_fetch_matches_scan(tmp_path, default_cfg):
+    route = default_cfg.routes[0]
+    plan = build_plan(default_cfg.windows, default_cfg.routes, DAY)
+    ticks = [e.at for e in plan.entries
+             if e.kind == TRAFFIC_POLL and e.target == route.file_id]
+    lines = [gen_traffic_response(default_cfg.profile, route, at).body
+             for at in ticks]
+    # Comments, blanks, a one-word line and a second line for an
+    # instant that is already listed, around the generator's lines.
+    odd = ["# captured 2016-05-16\n", "\n", f"  {route.file_id}\n",
+           lines[3].replace(route.file_id, route.file_id + "  ", 1)[:-2] + "9\n"]
+    body = odd[0] + "".join(lines[:5]) + "".join(odd[1:]) + "".join(lines[5:])
+    path = tmp_path / "traffic" / route.file_id / f"{DAY.isoformat()}.txt"
+    path.parent.mkdir(parents=True)
+    path.write_text(body)
+
+    absent = [datetime(2016, 5, 16, 3, 17, 0), datetime(2016, 5, 16, 23, 59, 59),
+              ticks[0].replace(second=30), datetime(2016, 5, 17, 8, 0, 0),
+              datetime(2016, 5, 15, 8, 0, 0)]
+    src = FixtureDirectorySource(tmp_path)
+    assert len(ticks) == 58
+    for at in ticks + absent + ticks[::-7]:
+        assert _fetch_outcome(src.fetch_traffic, route, at) == \
+            _fetch_outcome(_scan_fetch_traffic, tmp_path, route, at)
+
 
 def test_payload_kind_checked():
     with pytest.raises(PreconditionError):
         SourcePayload("video", FETCHED, "x\n", "x")
     with pytest.raises(PreconditionError):
         SourcePayload("weather", FETCHED, "", "x")
+
+
+@pytest.mark.parametrize("text", [
+    "20160516", "2016-W20-1", "2016-W20", "2016-137", "2016-5-16",
+    "2016-05-32", "16-05-16", "2016-05-16T00", "２０１６-05-16",
+])
+def test_pollution_header_date_must_be_padded_iso(text):
+    body = f"station=sima_centro contaminant=PM10 date={text}\n02:00 40\n"
+    with pytest.raises(ParseError) as err:
+        parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+    assert str(err.value) == f"bad date {text!r} [x:1]"
 
 
 class TestUnpaddedPollutionHour:

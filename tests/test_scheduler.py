@@ -274,6 +274,14 @@ class TestRunDay:
         assert summary is not None and summary.day == DAY
         assert summary.stored == 0
 
+    def test_read_only_store_aborts_the_day(self, tiny_cfg, tiny_store, plan):
+        tiny_store._conn.execute("PRAGMA query_only = ON")
+        with pytest.raises(RunAborted) as err:
+            run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        assert isinstance(err.value.__cause__, StorageUnavailable)
+        summary = err.value.summary
+        assert summary.stored == 0 and summary.failures == []
+
     def test_empty_plan(self, tiny_cfg, tiny_store):
         summary = run_day(CadencePlan(day=DAY, entries=()),
                           SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)

@@ -5,11 +5,13 @@ from datetime import datetime
 
 import pytest
 
+from urbanobs.cli import bootstrap_store
 from urbanobs.errors import (
     MigrationRequired,
     QueryError,
     ReferentialError,
     StorageError,
+    StorageUnavailable,
 )
 from urbanobs.model import (
     CONTAMINANTS,
@@ -196,6 +198,28 @@ class TestInserts:
             tiny_store.insert_record(w_rec())
         assert tiny_store.record_count("weathers") == 1
 
+    def test_read_only_store_is_unavailable(self, tiny_store):
+        tiny_store._conn.execute("PRAGMA query_only = ON")
+        with pytest.raises(StorageUnavailable, match="readonly"):
+            tiny_store.insert_record(w_rec())
+
+    def test_failed_commit_is_unavailable(self, tmp_path, tiny_cfg):
+        path = tmp_path / "locked.db"
+        with Store(path) as store:
+            bootstrap_store(store, tiny_cfg)
+            store._conn.execute("PRAGMA busy_timeout = 10")
+            reader = sqlite3.connect(path)
+            try:
+                # An open read transaction keeps the writer from committing.
+                reader.execute("BEGIN")
+                reader.execute("SELECT COUNT(*) FROM weathers").fetchone()
+                with pytest.raises(StorageUnavailable, match="commit"):
+                    with store.deferred():
+                        store.insert_record(w_rec())
+            finally:
+                reader.close()
+            assert store.record_count("weathers") == 0
+
 
 class TestQueries:
     @pytest.fixture()
@@ -308,6 +332,17 @@ class TestSummary:
         assert rows[("traffics", "traveldist")].monthly_avg == 1.0
         assert rows[("pollutions", "pm10")].nonempty == 1
         assert rows[("pollutions", "pm25")].nonempty == 0
+
+    def test_one_select_per_record_table(self, tiny_store):
+        tiny_store.insert_record(w_rec(temp=20.0))
+        statements = []
+        tiny_store._conn.set_trace_callback(statements.append)
+        try:
+            tiny_store.summarize_nonempty()
+        finally:
+            tiny_store._conn.set_trace_callback(None)
+        selects = [s for s in statements if s.lstrip().upper().startswith("SELECT")]
+        assert len(selects) == 3
 
     def test_empty_store_reports_zero(self, tiny_store):
         for row in tiny_store.summarize_nonempty():
