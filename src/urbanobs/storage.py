@@ -330,7 +330,8 @@ class Store:
                 raise StorageError(
                     f"store at {self.path} has no schema yet; run init first "
                     f"({exc})")
-            raise StorageError(str(exc))
+            # Locked, read-only, full or failing: the store cannot be used.
+            raise StorageUnavailable(str(exc)) from exc
 
     # -- schema ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sqlite3
 from contextlib import contextmanager
 from datetime import date, datetime, timedelta
 
@@ -25,6 +26,8 @@ from urbanobs.scheduler import (
     parse_hhmm,
     run_day,
 )
+from urbanobs.cli import bootstrap_store
+from urbanobs.storage import Store
 from urbanobs.synth import SynthSource
 
 DAY = date(2016, 5, 16)
@@ -281,6 +284,22 @@ class TestRunDay:
         assert isinstance(err.value.__cause__, StorageUnavailable)
         summary = err.value.summary
         assert summary.stored == 0 and summary.failures == []
+
+    def test_locked_store_aborts_the_day(self, tiny_cfg, plan, tmp_path):
+        path = tmp_path / "locked.db"
+        with Store(path) as store:
+            bootstrap_store(store, tiny_cfg)
+        holder = sqlite3.connect(path, isolation_level=None)
+        try:
+            holder.execute("BEGIN EXCLUSIVE")
+            with Store(path) as store:
+                store._conn.execute("PRAGMA busy_timeout = 10")
+                with pytest.raises(RunAborted) as err:
+                    run_day(plan, SynthSource(tiny_cfg.profile), store, tiny_cfg)
+        finally:
+            holder.close()
+        assert "database is locked" in str(err.value)
+        assert err.value.summary.failures == []
 
     def test_empty_plan(self, tiny_cfg, tiny_store):
         summary = run_day(CadencePlan(day=DAY, entries=()),
