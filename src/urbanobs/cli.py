@@ -70,8 +70,13 @@ def _resolve_locations(store: Store, table: str, spec: str | None) -> list[int]:
         if not token:
             continue
         if token.lstrip("-").isdigit():
-            out.append(int(token))
-        elif token in ids_by_file:
+            # isdigit() also passes '--5' and '²', which int() refuses.
+            try:
+                out.append(int(token))
+                continue
+            except ValueError:
+                pass
+        if token in ids_by_file:
             out.append(ids_by_file[token])
         else:
             raise Error(f"unknown location {token!r} for table {table}")

@@ -29,6 +29,7 @@ dash cell means the instrument had no value for that hour.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import shlex
@@ -46,6 +47,7 @@ from .model import (
     PollutionStation,
     TrafficRoute,
     WeatherStation,
+    format_timestamp,
 )
 
 __all__ = [
@@ -161,6 +163,11 @@ _TIMESTAMP_RE = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
 
 
+# Memoized: a record's timestamp is parsed by the parser's check and
+# again by validation, and a day's payloads share about 400 distinct
+# texts. datetimes are immutable, so sharing one is safe; errors are
+# not cached. 1024 entries hold about 250 kB.
+@functools.lru_cache(maxsize=1024)
 def _parse_timestamp_text(text: str) -> datetime:
     """datetime.strptime(text, TIMESTAMP_FMT), fast for the padded form.
 
@@ -209,6 +216,19 @@ def _split_words(line: str) -> list[str]:
             else w for w in _WORD_RE.findall(line)]
 
 
+# The lines weather_payload_body writes, matched whole: station and
+# timestamp as bare words, then ' key=value' pairs whose value is a
+# non-empty bare word or a non-empty '...' run, each followed by a
+# single space or the end. Such a line splits into the same tokens under
+# shlex; any other line takes the general tokenizer.
+_FAST_BARE = r"""[^ \t\r\n'"\\]+"""
+_FAST_LINE_RE = re.compile(
+    rf"""({_FAST_BARE}) ({_FAST_BARE})((?: [a-z_]+=(?:{_FAST_BARE}|'[^']+'))*)""")
+# Splits the pairs of a line _FAST_LINE_RE matched, so its simpler
+# classes find the same pieces: (key, bare value, quoted value).
+_FAST_FIELD_RE = re.compile(r" ([^=]+)=(?:'([^']+)'|([^ ]+))")
+
+
 def parse_weather_observations(
     payload: SourcePayload,
     stations: Mapping[str, WeatherStation],
@@ -225,6 +245,26 @@ def parse_weather_observations(
     readings: list[RawReading] = []
     quarantined: list[QuarantinedLine] = []
     for line_no, line in _content_lines(payload.body):
+        m = _FAST_LINE_RE.fullmatch(line)
+        if m is not None:
+            file_id, ts_text, rest = m.groups()
+            pairs = _FAST_FIELD_RE.findall(rest)
+            fields = {key: quoted or bare for key, quoted, bare in pairs}
+            station = stations.get(file_id)
+            # Unknown stations and keys, duplicates and airport-only keys
+            # on a personal station are left to the general path, which
+            # quarantines them or raises the positioned error.
+            if (station is not None and len(fields) == len(pairs)
+                    and fields.keys() <= _WEATHER_KEY_SET
+                    and (station.is_airport
+                         or _AIRPORT_ONLY_SET.isdisjoint(fields))):
+                _check_timestamp_text(ts_text, payload.origin, line_no)
+                readings.append(RawReading(
+                    kind="weather", target=file_id, timestamp=ts_text,
+                    fields=fields, origin=payload.origin,
+                    fetched_at=payload.fetched_at, station_kind=station.kind,
+                ))
+                continue
         try:
             tokens = _split_words(line)
         except ValueError as exc:
@@ -427,10 +467,8 @@ def assemble_station_day(
     return out
 
 
-def _quote(value: str) -> str:
-    # shlex.quote('') would give ''; empty values never occur because a
-    # missing sensor is expressed by omitting the key.
-    return shlex.quote(value)
+# shlex.quote's own test for a value it returns unchanged.
+_UNSAFE_CHAR = re.compile(r"[^\w@%+=:,./-]", re.ASCII).search
 
 
 def weather_payload_body(
@@ -443,14 +481,16 @@ def weather_payload_body(
     """
     lines = []
     for file_id, ts_text, fields in rows:
-        parts = [file_id, ts_text]
-        for key in WEATHER_KEYS:
-            if key in fields:
-                parts.append(f"{key}={_quote(fields[key])}")
-        for key in fields:
-            if key not in WEATHER_KEYS:
-                raise PreconditionError(f"unknown weather key {key!r}")
-        lines.append(" ".join(parts))
+        if not fields.keys() <= _WEATHER_KEY_SET:
+            unknown = next(k for k in fields if k not in _WEATHER_KEY_SET)
+            raise PreconditionError(f"unknown weather key {unknown!r}")
+        keys = [key for key in WEATHER_KEYS if key in fields]
+        values = [fields[key] for key in keys]
+        # A row of safe, non-empty values is written as is, which is what
+        # shlex.quote returns for each of them.
+        if _UNSAFE_CHAR("".join(values)) or "" in values:
+            values = list(map(shlex.quote, values))
+        lines.append(" ".join([file_id, ts_text, *map("=".join, zip(keys, values))]))
     return "\n".join(lines) + "\n" if lines else "# no observations\n"
 
 
@@ -526,7 +566,7 @@ class FixtureDirectorySource:
                     index.setdefault(tokens[1], line)
             self._traffic[route.file_id] = (
                 day, origin, (st.st_mtime_ns, st.st_size), index)
-        want = at.strftime(TIMESTAMP_FMT)
+        want = format_timestamp(at)
         line = index.get(want)
         if line is None:
             raise SourceError(f"no traffic fixture line at {want} in {origin}")

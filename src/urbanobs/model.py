@@ -124,6 +124,17 @@ def haversine_m(lat1: float, long1: float, lat2: float, long2: float) -> float:
     return 2 * _EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
+def format_timestamp(ts: datetime, sep: str = "T") -> str:
+    """ts.strftime(f"%Y-%m-%d{sep}%H:%M:%S"), through isoformat where equal.
+
+    isoformat pads the year to four digits and appends microseconds and
+    any UTC offset, so those cases keep strftime.
+    """
+    if ts.microsecond or ts.year < 1000 or ts.tzinfo is not None:
+        return ts.strftime(f"%Y-%m-%d{sep}%H:%M:%S")
+    return ts.isoformat(sep)
+
+
 def _check_coords(lat: float, long: float, what: str) -> None:
     if not (-90.0 <= lat <= 90.0):
         raise ConfigError(f"{what}: latitude {lat} is outside -90..90")
@@ -256,8 +267,8 @@ WEATHER_NUMERIC_ATTRIBUTES = tuple(
 )
 
 
-def _flag_ok(v: int | None) -> bool:
-    return v is None or (not isinstance(v, bool) and v in (0, 1))
+_NONNEGATIVE_ATTRIBUTES = ("wspd", "wgust", "preciprate", "preciptotal",
+                           "solarradiation", "uv", "vis", "precip")
 
 
 @dataclass(frozen=True)
@@ -307,13 +318,14 @@ class WeatherRecord:
             raise OutOfRangeError(f"hum {self.hum} outside 0..100")
         if self.wdird is not None and not (0 <= self.wdird <= 360):
             raise OutOfRangeError(f"wdird {self.wdird} outside 0..360")
-        for name in ("wspd", "wgust", "preciprate", "preciptotal",
-                     "solarradiation", "uv", "vis", "precip"):
-            v = getattr(self, name)
+        values = self.__dict__  # plain lookups: cheaper than getattr
+        for name in _NONNEGATIVE_ATTRIBUTES:
+            v = values[name]
             if v is not None and v < 0:
                 raise OutOfRangeError(f"{name} {v} is negative")
         for name in WEATHER_FLAG_ATTRIBUTES:
-            if not _flag_ok(getattr(self, name)):
+            v = values[name]
+            if v is not None and (isinstance(v, bool) or v not in (0, 1)):
                 raise OutOfRangeError(f"{name} must be 0 or 1")
         if self.wdire is not None and self.wdire not in COMPASS_CODES:
             raise OutOfRangeError(f"wdire {self.wdire!r} is not a compass code")

@@ -40,6 +40,7 @@ from .model import (
     WeatherRecord,
     WeatherStation,
     WEATHER_FLAG_ATTRIBUTES,
+    format_timestamp,
 )
 
 __all__ = [
@@ -281,8 +282,8 @@ def queryable_attributes(table: str) -> tuple[str, ...]:
 
 
 # One statement per record: a row whose (timestamp, location) is already
-# stored is skipped, so re-runs never overwrite stored data.
-_VALUE_COLS = {t: TABLE_COLUMNS[t][2:-1] for t in RECORD_TABLES}
+# stored is skipped, so re-runs never overwrite stored data. Parameters
+# follow the table's columns after the surrogate id.
 _INSERT_SQL = {
     t: (f"INSERT INTO {t} ({', '.join(TABLE_COLUMNS[t][1:])}) "
         f"VALUES ({', '.join('?' * (len(TABLE_COLUMNS[t]) - 1))}) "
@@ -292,7 +293,7 @@ _INSERT_SQL = {
 
 
 def _ts_text(ts: datetime) -> str:
-    return ts.strftime(DB_TIMESTAMP_FMT)
+    return format_timestamp(ts, " ")
 
 
 class Store:
@@ -475,6 +476,9 @@ class Store:
     def _resolve_code(self, table: str, code: str | None) -> int | None:
         if code is None:
             return None
+        cached = self._id_cache.get((table, code))
+        if cached is not None:
+            return cached
         return self._resolve(table, _LOOKUP_CODE_COL[table], code,
                              f"{_LOOKUP_CODE_COL[table]} code")
 
@@ -494,8 +498,7 @@ class Store:
             return self._insert_pollution(rec)
         raise StorageError(f"not a record object: {rec!r}")
 
-    def _insert_row(self, table: str, loc_id: int, ts: datetime, cols: dict) -> str:
-        args = (_ts_text(ts), *map(cols.__getitem__, _VALUE_COLS[table]), loc_id)
+    def _insert_row(self, table: str, args: tuple) -> str:
         try:
             cur = self._conn.execute(_INSERT_SQL[table], args)
         except sqlite3.IntegrityError as exc:
@@ -508,36 +511,29 @@ class Store:
     def _insert_weather(self, rec: WeatherRecord) -> str:
         loc_id = self._resolve("locations_w", "file_id", rec.station,
                                "weather station")
-        cols = {
-            "id_time_zone": self._resolve_code("time_zones", rec.tz),
-            "temp": rec.temp, "dewpt": rec.dewpt, "hum": rec.hum,
-            "wspd": rec.wspd, "wgust": rec.wgust, "wdird": rec.wdird,
-            "id_wdire": self._resolve_code("wdires", rec.wdire),
-            "pressure": rec.pressure, "windchill": rec.windchill,
-            "heatindex": rec.heatindex, "preciprate": rec.preciprate,
-            "preciptotal": rec.preciptotal,
-            "solarradiation": rec.solarradiation, "uv": rec.uv,
-            "vis": rec.vis, "precip": rec.precip,
-            "id_cond": self._resolve_code("conds", rec.cond),
-            "id_icon": self._resolve_code("icons", rec.icon),
-            "fog": rec.fog, "rain": rec.rain, "snow": rec.snow,
-            "hail": rec.hail, "thunder": rec.thunder, "tornado": rec.tornado,
-            "metar": rec.metar,
-        }
-        return self._insert_row("weathers", loc_id, rec.timestamp, cols)
+        code = self._resolve_code
+        return self._insert_row("weathers", (
+            _ts_text(rec.timestamp), code("time_zones", rec.tz),
+            rec.temp, rec.dewpt, rec.hum, rec.wspd, rec.wgust, rec.wdird,
+            code("wdires", rec.wdire),
+            rec.pressure, rec.windchill, rec.heatindex, rec.preciprate,
+            rec.preciptotal, rec.solarradiation, rec.uv, rec.vis, rec.precip,
+            code("conds", rec.cond), code("icons", rec.icon),
+            rec.fog, rec.rain, rec.snow, rec.hail, rec.thunder, rec.tornado,
+            rec.metar, loc_id))
 
     def _insert_traffic(self, rec: TrafficRecord) -> str:
         loc_id = self._resolve("locations_t", "file_id", rec.route, "route")
-        cols = {"traveldist": rec.traveldist,
-                "traveltime_std": rec.traveltime_std,
-                "traveltime_curr": rec.traveltime_curr}
-        return self._insert_row("traffics", loc_id, rec.timestamp, cols)
+        return self._insert_row("traffics", (
+            _ts_text(rec.timestamp), rec.traveldist, rec.traveltime_std,
+            rec.traveltime_curr, loc_id))
 
     def _insert_pollution(self, rec: PollutionRecord) -> str:
         loc_id = self._resolve("locations_p", "file_id", rec.station,
                                "pollution station")
-        cols = {c: getattr(rec, c) for c in CONTAMINANTS}
-        return self._insert_row("pollutions", loc_id, rec.timestamp, cols)
+        return self._insert_row("pollutions", (
+            _ts_text(rec.timestamp), rec.pm10, rec.o3, rec.co, rec.so2,
+            rec.no2, rec.pm25, loc_id))
 
     # -- queries ----------------------------------------------------------
 
@@ -585,7 +581,7 @@ class Store:
                f"AND t.{ts_col} BETWEEN ? AND ? "
                f"ORDER BY t.{loc_col}, t.{ts_col}")
         args = (*location_ids, _ts_text(start), _ts_text(end))
-        rows = tuple(tuple(r) for r in self._execute(sql, args))
+        rows = tuple(self._execute(sql, args).fetchall())
         return QueryResult(kind=table, columns=columns, rows=rows)
 
     def fetch_record(self, table: str, location_id: int, ts: datetime) -> dict | None:
@@ -651,19 +647,16 @@ class Store:
         return problems
 
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    return str(v)
-
-
 def export_csv(result: QueryResult, dest=None) -> str:
-    """Serialize a query result to CSV text; NA becomes the empty cell."""
+    """Serialize a query result to CSV text; NA becomes the empty cell.
+
+    The csv module writes None as an empty cell and numbers as str()
+    would, so rows go out unconverted.
+    """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(result.columns)
-    for row in result.rows:
-        w.writerow([_format_cell(v) for v in row])
+    w.writerows(result.rows)
     text = buf.getvalue()
     if dest is not None:
         Path(dest).write_text(text)

@@ -15,12 +15,12 @@ without a rule are only checked for being numeric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from math import inf, isfinite, nan
 from typing import Mapping
 
-from .connectors import RawReading, _parse_timestamp_text
+from .connectors import _AIRPORT_ONLY_SET, RawReading, _parse_timestamp_text
 from .errors import ConfigError, PreconditionError, RecordRejected
 from .model import (
     AIRPORT_ONLY_ATTRIBUTES,
@@ -30,6 +30,7 @@ from .model import (
     COMPASS_CODES,
     WEATHER_FLAG_ATTRIBUTES,
     WEATHER_NUMERIC_ATTRIBUTES,
+    TRAFFIC_ATTRIBUTES,
     PollutionRecord,
     TrafficRecord,
     WeatherRecord,
@@ -105,11 +106,35 @@ pollutions.pm25            0  500
 """
 
 
+# The attributes each validator range-checks, and the rule text it
+# reports for an attribute that has no configured rule.
+_RANGE_CHECKED = {
+    "weathers": (WEATHER_NUMERIC_ATTRIBUTES, "numeric"),
+    "traffics": (TRAFFIC_ATTRIBUTES, "numeric"),
+    "pollutions": (CONTAMINANTS, f"integer {IMECA_MIN}..{IMECA_MAX}"),
+}
+
+
 class RuleSet:
     """Lookup table of range rules keyed by (table, attribute)."""
 
     def __init__(self, rules: Mapping[tuple[str, str], RangeRule]) -> None:
         self._rules = dict(rules)
+        # Per record table, (attribute, lo, hi, rule text) for the
+        # validators. An unbounded side is -inf/inf, so
+        # `not (v < lo or v > hi)` is exactly RangeRule.contains(v).
+        self._ranges: dict[str, tuple[tuple[str, float, float, str], ...]] = {}
+        for table, (attrs, default_text) in _RANGE_CHECKED.items():
+            ranges = []
+            for attr in attrs:
+                rule = self._rules.get((table, attr))
+                if rule is None:
+                    ranges.append((attr, -inf, inf, default_text))
+                else:
+                    ranges.append((
+                        attr, -inf if rule.min is None else rule.min,
+                        inf if rule.max is None else rule.max, rule.describe()))
+            self._ranges[table] = tuple(ranges)
 
     @classmethod
     def from_text(cls, text: str, origin: str = "<rules>") -> "RuleSet":
@@ -201,24 +226,19 @@ def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, Va
     report = ValidationReport(key=f"{raw.timestamp} {raw.target}")
     values: dict[str, object] = {}
 
-    for attr in WEATHER_NUMERIC_ATTRIBUTES:
+    for attr, lo, hi, rule_text in rules._ranges["weathers"]:
         text = raw.fields.get(attr)
         if text is None:
             continue
-        rule = rules.rule_for("weathers", attr)
         try:
             v = float(text)
         except ValueError:
-            report.add(attr, text, rule.describe() if rule else "numeric")
-            continue
-        # nan compares outside every inclusive range, so check it here
-        if not math.isfinite(v):
-            report.add(attr, text, rule.describe() if rule else "numeric")
-            continue
-        if rule is not None and not rule.contains(v):
-            report.add(attr, text, rule.describe())
-            continue
-        values[attr] = v
+            v = nan
+        # nan and inf fail isfinite; nan would pass the bound test
+        if isfinite(v) and not (v < lo or v > hi):
+            values[attr] = v
+        else:
+            report.add(attr, text, rule_text)
 
     for attr in WEATHER_FLAG_ATTRIBUTES:
         text = raw.fields.get(attr)
@@ -241,7 +261,7 @@ def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, Va
         if text is not None:
             values[attr] = text
 
-    if raw.station_kind == "pws":
+    if raw.station_kind == "pws" and not _AIRPORT_ONLY_SET.isdisjoint(values):
         # The parser already refuses airport-only keys on personal
         # stations; this guards hand-built readings too.
         for attr in AIRPORT_ONLY_ATTRIBUTES:
@@ -266,25 +286,19 @@ def validate_traffic(raw: RawReading, rules: RuleSet) -> tuple[TrafficRecord, Va
     ts = _parse_timestamp(raw)
     report = ValidationReport(key=f"{raw.timestamp} {raw.target}")
     values: dict[str, float] = {}
-    for attr in ("traveldist", "traveltime_std", "traveltime_curr"):
+    for attr, lo, hi, rule_text in rules._ranges["traffics"]:
         text = raw.fields.get(attr)
-        rule = rules.rule_for("traffics", attr)
-        rule_text = rule.describe() if rule else "numeric"
         if text is None:
             report.add(attr, "<missing>", rule_text)
             continue
         try:
             v = float(text)
         except ValueError:
+            v = nan
+        if isfinite(v) and not (v < lo or v > hi):
+            values[attr] = v
+        else:
             report.add(attr, text, rule_text)
-            continue
-        if not math.isfinite(v):
-            report.add(attr, text, rule_text)
-            continue
-        if rule is not None and not rule.contains(v):
-            report.add(attr, text, rule_text)
-            continue
-        values[attr] = v
     if report.entries:
         bad = ", ".join(e.attribute for e in report.entries)
         raise RecordRejected(
@@ -312,23 +326,18 @@ def validate_pollution(raw: RawReading, rules: RuleSet) -> tuple[PollutionRecord
         raise RecordRejected(
             f"pollution tables never carry hour {ts.hour:02d}", report)
     values: dict[str, int] = {}
-    for attr in CONTAMINANTS:
+    for attr, lo, hi, rule_text in rules._ranges["pollutions"]:
         text = raw.fields.get(attr)
         if text is None:
             continue
-        rule = rules.rule_for("pollutions", attr)
-        rule_text = rule.describe() if rule else f"integer {IMECA_MIN}..{IMECA_MAX}"
         try:
             v = int(text)
         except ValueError:
             report.add(attr, text, rule_text)
             continue
-        if rule is not None and not rule.contains(v):
+        if not (v < lo or v > hi) and IMECA_MIN <= v <= IMECA_MAX:
+            values[attr] = v
+        else:
             report.add(attr, text, rule_text)
-            continue
-        if not (IMECA_MIN <= v <= IMECA_MAX):
-            report.add(attr, text, rule_text)
-            continue
-        values[attr] = v
     record = PollutionRecord(timestamp=ts, station=raw.target, **values)
     return record, report

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import csv
+import io
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urbanobs.cli import main
 from urbanobs.config import STORE_ENV_VAR
 from urbanobs.errors import RunAborted
-from urbanobs.storage import Store, import_csv
+from urbanobs.storage import (
+    QueryResult,
+    Store,
+    export_csv,
+    import_csv,
+    queryable_attributes,
+)
 from urbanobs.synth import (
     gen_pollution_day,
     gen_traffic_response,
@@ -223,6 +232,14 @@ class TestQuery:
                      "--loc", "gamma-delta", expect=1)
         assert "unknown location" in err
 
+    @pytest.mark.parametrize("loc", ["--5", "²"])
+    def test_digit_like_location_is_unknown(self, cli, collected, loc):
+        # isdigit() accepts both, int() refuses both
+        for command in (["query", "traffics", "--attrs", "traveldist"],
+                        ["export", "traffics", "--csv", str(collected) + ".csv"]):
+            _, err = cli(*command, f"--loc={loc}", expect=1)
+            assert err == f"error: unknown location {loc!r} for table traffics\n"
+
     def test_empty_attrs(self, cli, collected):
         _, err = cli("query", "traffics", "--attrs", " , ", expect=1)
         assert "at least one attribute" in err
@@ -349,3 +366,53 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _old_format_cell(v) -> str:
+    # The per-cell formatter export_csv used before it wrote rows as is.
+    return "" if v is None else str(v)
+
+
+def _old_export_csv(result) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(result.columns)
+    for row in result.rows:
+        w.writerow([_old_format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+_CELL = st.one_of(
+    st.none(), st.integers(), st.floats(), st.booleans(),
+    st.text(st.sampled_from(list('ab ,"\'\n\r\t;é')), max_size=8), st.text(max_size=8))
+
+
+class TestExportFormatting:
+    def test_na_int_float_and_quoted_text(self, tmp_path):
+        result = QueryResult("weathers", ("timestamp", "location", "temp", "cond"), (
+            ("2016-05-16 00:00:00", 1, None, 'say "hi", then'),
+            ("2016-05-16 00:05:00", 2, 21.5, None),
+            ("2016-05-16 00:10:00", 3, 1e-07, "a\nb"),
+            ("2016-05-16 00:15:00", 4, 0.1 + 0.2, ""),
+            ("2016-05-16 00:20:00", 5, -0.0, "x,y"),
+        ))
+        dest = tmp_path / "out.csv"
+        assert export_csv(result, dest=dest) == _old_export_csv(result)
+        assert dest.read_text() == _old_export_csv(result)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_CELL, _CELL, _CELL), max_size=5))
+    def test_matches_old_formatter(self, rows):
+        result = QueryResult("traffics", ("timestamp", "location", "traveldist"),
+                             tuple(rows))
+        assert export_csv(result) == _old_export_csv(result)
+
+    def test_store_export_matches_old_formatter(self, cli, collected):
+        with Store(collected) as s:
+            for table in ("weathers", "traffics", "pollutions"):
+                ids = sorted(s.location_ids(f"locations_{table[0]}").values())
+                result = s.query_attribute(
+                    table, queryable_attributes(table), ids,
+                    datetime(2016, 1, 1), datetime(2016, 12, 31))
+                assert len(result) > 0
+                assert export_csv(result) == _old_export_csv(result)

@@ -332,3 +332,111 @@ class TestRunDay:
         assert counts["traffics"] == 3 * 4
         assert counts["weathers"] == 3 * 72
         assert counts["pollutions"] == 3 * 22
+
+
+class _InterruptingStore:
+    """Delegates to a Store and raises `exc` on insert number `k` (0-based).
+
+    With k None it never raises and only records the kinds inserted.
+    """
+
+    def __init__(self, inner, k, exc):
+        self._inner, self._k, self._exc = inner, k, exc
+        self.kinds = []
+
+    def deferred(self):
+        return self._inner.deferred()
+
+    def insert_record(self, record):
+        if len(self.kinds) == self._k:
+            raise self._exc
+        self.kinds.append(type(record).__name__)
+        return self._inner.insert_record(record)
+
+
+def _export_dump(cfg_path, db_path, out_dir, capsys) -> dict[str, bytes]:
+    from urbanobs.cli import main
+
+    dump = {}
+    for table in ("weathers", "traffics", "pollutions"):
+        dest = out_dir / f"{db_path.stem}-{table}.csv"
+        assert main(["export", table, "--config", str(cfg_path), "--store",
+                     str(db_path), "--csv", str(dest)]) == 0
+        dump[table] = dest.read_bytes()
+    capsys.readouterr()
+    return dump
+
+
+class TestInterruptedDayReplays:
+    """A day cut short at any entry and run again stores what a clean run stores."""
+
+    @pytest.fixture()
+    def cfg_path(self, tmp_path):
+        from tests.conftest import TINY_CFG_TEXT
+
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY_CFG_TEXT)
+        return path
+
+    def _run(self, tiny_cfg, db_path, day, wrap=None):
+        with Store(db_path) as store:
+            target = wrap(store) if wrap else store
+            plan = build_plan(tiny_cfg.windows, tiny_cfg.routes, day)
+            return run_day(plan, SynthSource(tiny_cfg.profile), target, tiny_cfg)
+
+    def _fresh_store(self, tiny_cfg, db_path):
+        with Store(db_path) as store:
+            bootstrap_store(store, tiny_cfg)
+        # A committed earlier day must survive the interruption untouched.
+        self._run(tiny_cfg, db_path, DAY)
+
+    @pytest.fixture()
+    def clean(self, tiny_cfg, cfg_path, tmp_path, capsys):
+        db = tmp_path / "clean.db"
+        self._fresh_store(tiny_cfg, db)
+        spies = []
+
+        def spy(store):
+            spies.append(_InterruptingStore(store, None, None))
+            return spies[-1]
+
+        self._run(tiny_cfg, db, DAY + timedelta(days=1), spy)
+        return _export_dump(cfg_path, db, tmp_path, capsys), spies[0].kinds
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(),
+                                     StorageUnavailable("disk went away")])
+    @pytest.mark.parametrize("where", ["mid weather backfill", "first poll",
+                                       "pollution scrape"])
+    def test_rerun_matches_clean_run(self, tiny_cfg, cfg_path, tmp_path, capsys,
+                                     clean, exc, where):
+        want, kinds = clean
+        k = {"mid weather backfill": kinds.count("WeatherRecord") // 2,
+             "first poll": kinds.index("TrafficRecord"),
+             "pollution scrape": kinds.index("PollutionRecord") + 5}[where]
+        db = tmp_path / "cut.db"
+        self._fresh_store(tiny_cfg, db)
+        before = _export_dump(cfg_path, db, tmp_path, capsys)
+        day = DAY + timedelta(days=1)
+        with pytest.raises((KeyboardInterrupt, RunAborted)):
+            self._run(tiny_cfg, db, day, lambda s: _InterruptingStore(s, k, exc))
+        # Nothing of the cut day was committed.
+        assert _export_dump(cfg_path, db, tmp_path, capsys) == before
+        summary = self._run(tiny_cfg, db, day)
+        assert summary.failures == [] and summary.duplicates == 0
+        assert _export_dump(cfg_path, db, tmp_path, capsys) == want
+
+    def test_rerun_after_source_failure_at_first_poll(self, tiny_cfg, cfg_path,
+                                                      tmp_path, capsys, clean):
+        class CutSource(SynthSource):
+            def fetch_traffic(self, route, at):
+                raise KeyboardInterrupt
+
+        want, _ = clean
+        db = tmp_path / "cut.db"
+        self._fresh_store(tiny_cfg, db)
+        day = DAY + timedelta(days=1)
+        with Store(db) as store, pytest.raises(KeyboardInterrupt):
+            run_day(build_plan(tiny_cfg.windows, tiny_cfg.routes, day),
+                    CutSource(tiny_cfg.profile), store, tiny_cfg)
+        self._run(tiny_cfg, db, day)
+        assert _export_dump(cfg_path, db, tmp_path, capsys) == want
