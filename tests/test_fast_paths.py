@@ -1,4 +1,4 @@
-"""Differential tests: every per-record fast path against the slow reference it replaces.
+"""Differential tests: each per-record fast path against its slow reference.
 
 Each reference below is a test-local copy of the code the fast path
 stands in for, so a change to either side shows up here.
