@@ -4,7 +4,16 @@ Subcommands: ``init`` (create schema, load catalogs and code tables),
 ``run`` (execute N collection days), ``query`` (attribute selection to
 stdout or CSV), ``report`` (per-attribute accounting), ``export``
 (full-table CSV dump). Every command exits nonzero when an error
-contract fires and prints the diagnostic on stderr.
+contract fires and prints the diagnostic on stderr. Only ``init``
+creates a store; the other commands refuse a store path that does not
+exist.
+
+``main`` builds only the parser of the command it runs: one table,
+``_COMMANDS``, gives each command's help, handler and arguments, and
+drives both that single parser and the full ``build_argparser()``.
+Help, usage and error texts are the full parser's, byte for byte; any
+argv that does not start with a command name goes through the full
+parser.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from datetime import date, datetime, time, timedelta
 from pathlib import Path
 
 from . import config as config_mod
-from .connectors import FixtureDirectorySource
+from .connectors import FixtureDirectorySource, _is_iso_date
 from .errors import Error, RunAborted
 from .scheduler import SimulatedClock, WallClock, build_plan, run_day
 from .storage import (
@@ -52,12 +61,18 @@ def _parse_when(text: str, end_of_day: bool) -> datetime:
             return datetime.strptime(text, fmt)
         except ValueError:
             pass
-    try:
-        d = date.fromisoformat(text)
-    except ValueError:
+    if not _is_iso_date(text):
         raise Error(f"cannot read time {text!r}; use YYYY-MM-DD or "
                     f"'YYYY-MM-DD HH:MM:SS'")
-    return datetime.combine(d, time(23, 59, 59) if end_of_day else time(0, 0))
+    return datetime.combine(date.fromisoformat(text),
+                            time(23, 59, 59) if end_of_day else time(0, 0))
+
+
+def _existing_store(cfg: config_mod.Config) -> str:
+    """The store path, which must exist: only ``init`` creates a store."""
+    if not Path(cfg.store_path).exists():
+        raise Error(f"store at {cfg.store_path} does not exist; run init first")
+    return cfg.store_path
 
 
 def _resolve_locations(store: Store, table: str, spec: str | None) -> list[int]:
@@ -122,14 +137,13 @@ def _make_source(cfg, spec: str):
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.start:
-        try:
-            start = date.fromisoformat(args.start)
-        except ValueError:
+        if not _is_iso_date(args.start):
             raise Error(f"cannot read day {args.start!r}; use YYYY-MM-DD")
+        start = date.fromisoformat(args.start)
     else:
         start = date.today()
     source = _make_source(cfg, args.source)
-    with Store(cfg.store_path) as store:
+    with Store(_existing_store(cfg)) as store:
         if not store.location_ids("locations_w") and cfg.weather_stations:
             raise Error(f"store {cfg.store_path} has no catalogs; run init first")
         for i in range(args.days):
@@ -148,15 +162,17 @@ def cmd_run(args) -> int:
 
 
 def _print_rows(result) -> None:
-    print("\t".join(result.columns))
-    for row in result.rows:
-        print("\t".join("" if v is None else str(v) for v in row))
+    lines = ["\t".join(result.columns)]
+    lines += ["\t".join("" if v is None else str(v) for v in row)
+              for row in result.rows]
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
 
 
 def _run_query(args, attrs: list[str] | None) -> int:
     cfg = _load_config(args)
     table = resolve_table(args.table)
-    with Store(cfg.store_path) as store:
+    with Store(_existing_store(cfg)) as store:
         locs = _resolve_locations(store, table, args.loc)
         start = _parse_when(args.start, False) if args.start else _ALL_TIME_START
         end = _parse_when(args.end, True) if args.end else _ALL_TIME_END
@@ -183,7 +199,7 @@ def cmd_export(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load_config(args)
-    with Store(cfg.store_path) as store:
+    with Store(_existing_store(cfg)) as store:
         rows = store.summarize_nonempty()
     width = max(len(r.column) for r in rows)
     current = None
@@ -203,59 +219,92 @@ def _add_store_args(p) -> None:
                    f"${config_mod.STORE_ENV_VAR})")
 
 
-def build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="urbanobs",
-        description="Collect, store and query urban weather, traffic and "
-                    "air-quality telemetry.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("init", help="create the schema and load catalogs")
-    _add_store_args(p)
-    p.set_defaults(func=cmd_init)
-
-    p = sub.add_parser("run", help="execute collection days")
+def _add_run_args(p) -> None:
     _add_store_args(p)
     p.add_argument("--days", type=int, required=True)
     p.add_argument("--start", help="first day, YYYY-MM-DD (default: today)")
     p.add_argument("--clock", choices=("simulated", "wall"), default="simulated")
     p.add_argument("--source", default="synth",
                    help="'synth' or 'fixtures:<dir>' (default: synth)")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("query", help="select attribute values")
-    _add_store_args(p)
+
+def _add_table_arg(p) -> None:
     p.add_argument("table", help="weathers, traffics or pollutions")
+
+
+def _add_range_args(p) -> None:
+    p.add_argument("--loc", help="comma-separated location ids or file_ids "
+                   "(default: all)")
+    p.add_argument("--from", dest="start", help="range start (inclusive)")
+    p.add_argument("--to", dest="end",
+                   help="range end (inclusive; date widens to 23:59:59)")
+
+
+def _add_query_args(p) -> None:
+    _add_store_args(p)
+    # Before --attrs: argparse names missing required arguments in the
+    # order they were added.
+    _add_table_arg(p)
     p.add_argument("--attrs", required=True, help="comma-separated attributes")
-    p.add_argument("--loc", help="comma-separated location ids or file_ids "
-                   "(default: all)")
-    p.add_argument("--from", dest="start", help="range start (inclusive)")
-    p.add_argument("--to", dest="end",
-                   help="range end (inclusive; date widens to 23:59:59)")
+    _add_range_args(p)
     p.add_argument("--csv", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("report", help="per-attribute accounting summary")
-    _add_store_args(p)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("export", help="dump all attributes of a table to CSV")
+def _add_export_args(p) -> None:
     _add_store_args(p)
-    p.add_argument("table", help="weathers, traffics or pollutions")
-    p.add_argument("--loc", help="comma-separated location ids or file_ids "
-                   "(default: all)")
-    p.add_argument("--from", dest="start", help="range start (inclusive)")
-    p.add_argument("--to", dest="end",
-                   help="range end (inclusive; date widens to 23:59:59)")
+    _add_table_arg(p)
+    _add_range_args(p)
     p.add_argument("--csv", required=True, help="output file")
-    p.set_defaults(func=cmd_export)
 
+
+# name -> (help, handler, function adding every argument of the command)
+_COMMANDS = {
+    "init": ("create the schema and load catalogs", cmd_init, _add_store_args),
+    "run": ("execute collection days", cmd_run, _add_run_args),
+    "query": ("select attribute values", cmd_query, _add_query_args),
+    "report": ("per-attribute accounting summary", cmd_report, _add_store_args),
+    "export": ("dump all attributes of a table to CSV", cmd_export,
+               _add_export_args),
+}
+
+
+def build_argparser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="urbanobs",
+        description="Collect, store and query urban weather, traffic and "
+                    "air-quality telemetry.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return ap
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """What ``build_argparser().parse_args(argv)`` gives, building less.
+
+    When argv starts with a command name, only that command's parser is
+    built, as the subparser ``build_argparser`` would make; words it
+    leaves over get the full parser's ``unrecognized arguments`` error.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return build_argparser().parse_args(argv)
+    name = argv[0]
+    _, func, add_args = _COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"urbanobs {name}")
+    add_args(p)
+    args, extras = p.parse_known_args(argv[1:])
+    if extras:
+        build_argparser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = name
+    args.func = func
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_argparser()
-    args = ap.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except Error as exc:

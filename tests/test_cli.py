@@ -137,6 +137,14 @@ class TestRun:
         _, err = cli("run", "--days", "1", "--start", "yesterday", expect=1)
         assert "cannot read day" in err
 
+    # date.fromisoformat accepts the first two from Python 3.11 on.
+    @pytest.mark.parametrize("day", ["20160517", "2016-W20-2", "2016-5-17"])
+    def test_start_day_is_padded_iso_date(self, cli, initialized, day):
+        _, err = cli("run", "--days", "1", "--start", day, expect=1)
+        assert err == f"error: cannot read day {day!r}; use YYYY-MM-DD\n"
+        with Store(initialized) as s:
+            assert s.record_count("weathers") == 0
+
     def test_zero_days_writes_nothing(self, cli, initialized):
         out, _ = cli("run", "--days", "0")
         assert out == ""
@@ -168,6 +176,24 @@ class TestQuery:
         lines = out.strip().splitlines()
         assert lines[0] == "timestamp\tlocation\ttraveltime_curr\ttraveltime_std"
         assert len(lines) == 1 + 4
+
+    @pytest.mark.parametrize("table", ["weathers", "traffics", "pollutions"])
+    @pytest.mark.parametrize("end", ["2016-05-15", "2016-05-16"])
+    def test_tsv_matches_old_printer(self, cli, collected, capsys, table, end):
+        # the per-row print() loop the TSV output used to come from
+        with Store(collected) as s:
+            attrs = list(queryable_attributes(table))
+            locs = sorted(s.location_ids(f"locations_{table[0]}").values())
+            result = s.query_attribute(
+                table, attrs, locs, datetime(2016, 5, 15),
+                datetime.fromisoformat(f"{end} 23:59:59"))
+        print("\t".join(result.columns))
+        for row in result.rows:
+            print("\t".join("" if v is None else str(v) for v in row))
+        want = capsys.readouterr().out
+        out, _ = cli("query", table, "--attrs", ",".join(attrs),
+                     "--from", "2016-05-15", "--to", end)
+        assert out == want
 
     def test_loc_by_file_id_and_by_number(self, cli, collected):
         by_name, _ = cli("query", "traffics", "--attrs", "traveldist",
@@ -249,6 +275,15 @@ class TestQuery:
                      "--from", "springtime", expect=1)
         assert "cannot read time" in err
 
+    # date.fromisoformat accepts the first two from Python 3.11 on.
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("text", ["20160517", "2016-W20-2", "2016-5-17"])
+    def test_range_day_is_padded_iso_date(self, cli, collected, flag, text):
+        _, err = cli("query", "traffics", "--attrs", "traveldist",
+                     flag, text, expect=1)
+        assert err == (f"error: cannot read time {text!r}; use YYYY-MM-DD "
+                       f"or 'YYYY-MM-DD HH:MM:SS'\n")
+
     def test_unknown_table(self, cli, collected):
         _, err = cli("query", "noise", "--attrs", "db", expect=1)
         assert "unknown record table" in err
@@ -306,6 +341,43 @@ class TestStorePrecedence:
         capsys.readouterr()
         assert code == 0
         assert env_db.exists()
+
+
+class TestMissingStore:
+    """Only init creates a store; the other commands refuse a missing one."""
+
+    COMMANDS = ["run", "query", "report", "export"]
+
+    @staticmethod
+    def argv(command, cfg_path, tmp_path):
+        extra = {"run": ["--days", "1", "--start", DAY.isoformat()],
+                 "query": ["weathers", "--attrs", "temp"],
+                 "report": [],
+                 "export": ["weathers", "--csv", str(tmp_path / "out.csv")]}
+        return [command, *extra[command], "--config", str(cfg_path)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flag_path_is_not_created(self, command, cfg_path, tmp_path,
+                                      capsys):
+        typo = tmp_path / "typo.db"
+        code = main([*self.argv(command, cfg_path, tmp_path),
+                     "--store", str(typo)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: store at {typo} does not exist; run init first\n"
+        assert not typo.exists()
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_env_path_is_not_created(self, command, cfg_path, tmp_path,
+                                     monkeypatch, capsys):
+        typo = tmp_path / "env-typo.db"
+        monkeypatch.setenv(STORE_ENV_VAR, str(typo))
+        code = main(self.argv(command, cfg_path, tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: store at {typo} does not exist; run init first\n"
+        assert not typo.exists()
 
 
 class TestFixtureSource:
