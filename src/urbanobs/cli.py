@@ -135,6 +135,8 @@ def _make_source(cfg, spec: str):
 
 
 def cmd_run(args) -> int:
+    if args.days < 0:
+        raise Error(f"--days must be 0 or more, got {args.days}")
     cfg = _load_config(args)
     if args.start:
         if not _is_iso_date(args.start):

@@ -16,6 +16,13 @@ The compass-code lookup is fixed vocabulary and not configurable.
 Values never interpolate; '=' is the only key separator so window and
 time tokens may contain ':'. The ``URBANOBS_STORE`` environment
 variable overrides the configured store path.
+
+A file of plain lines (blank lines, ``#`` comments, ``[name]`` headers
+and ``key = value`` or bare ``key`` lines starting in column 0, no
+``[DEFAULT]``, nothing repeated) is read in one pass. Any other file is
+read by ``configparser`` with the settings in ``_parser()``, which gives
+the same sections for a plain file and stays the reference for every
+other one, error texts included.
 """
 
 from __future__ import annotations
@@ -93,6 +100,10 @@ class Config:
         return dataclasses.replace(self, store_path=path)
 
 
+# {section: {key: value, or None for a bare key}}, in file order.
+_Sections = dict[str, dict[str, "str | None"]]
+
+
 def _parser() -> configparser.ConfigParser:
     cp = configparser.ConfigParser(
         delimiters=("=",),
@@ -106,6 +117,47 @@ def _parser() -> configparser.ConfigParser:
     return cp
 
 
+def _read_plain(text: str) -> _Sections | None:
+    """``{section: {key: value or None}}`` for a file of plain lines.
+
+    Returns None for any line configparser might read otherwise: an
+    indented content line (it can continue a value), a [DEFAULT] section
+    (its keys join every section), a repeated section or key, a key
+    before the first header or an empty key (errors there), and a header
+    with text after its ']' (configparser ignores that text).
+    """
+    sections: _Sections = {}
+    section = None
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        if line[0].isspace():
+            return None
+        if stripped[0] == "[":
+            name = stripped[1:-1]
+            if (stripped[-1] != "]" or not name or name == "DEFAULT"
+                    or name in sections):
+                return None
+            section = sections[name] = {}
+            continue
+        key, sep, value = stripped.partition("=")
+        key = key.rstrip()
+        if section is None or not key or key in section:
+            return None
+        section[key] = value.strip() if sep else None
+    return sections
+
+
+def _sections(text: str, origin: str) -> _Sections:
+    sections = _read_plain(text)
+    if sections is None:
+        cp = _parser()
+        _read(cp, text, origin)
+        sections = {s: dict(cp.items(s)) for s in cp.sections()}
+    return sections
+
+
 def _floats(pair: str, what: str) -> float:
     try:
         return float(pair)
@@ -113,9 +165,9 @@ def _floats(pair: str, what: str) -> float:
         raise ConfigError(f"{what}: expected a number, got {pair!r}")
 
 
-def _parse_points(cp) -> tuple[GeoPoint, ...]:
+def _parse_points(items: dict) -> tuple[GeoPoint, ...]:
     points = []
-    for name, value in cp.items("points"):
+    for name, value in items.items():
         if value is None:
             raise ConfigError(f"point {name!r}: expected 'lat long description'")
         parts = value.split(maxsplit=2)
@@ -128,9 +180,9 @@ def _parse_points(cp) -> tuple[GeoPoint, ...]:
     return tuple(points)
 
 
-def _parse_weather_stations(cp) -> tuple[StationMeta, ...]:
+def _parse_weather_stations(items: dict) -> tuple[StationMeta, ...]:
     out = []
-    for file_id, value in cp.items("weather_stations"):
+    for file_id, value in items.items():
         parts = (value or "").split(maxsplit=6)
         if len(parts) < 6:
             raise ConfigError(
@@ -156,9 +208,9 @@ def _parse_weather_stations(cp) -> tuple[StationMeta, ...]:
     return tuple(out)
 
 
-def _parse_pollution_stations(cp) -> tuple[PollutionStation, ...]:
+def _parse_pollution_stations(items: dict) -> tuple[PollutionStation, ...]:
     out = []
-    for file_id, value in cp.items("pollution_stations"):
+    for file_id, value in items.items():
         parts = (value or "").split(maxsplit=2)
         if len(parts) < 2:
             raise ConfigError(
@@ -171,11 +223,9 @@ def _parse_pollution_stations(cp) -> tuple[PollutionStation, ...]:
     return tuple(out)
 
 
-def _parse_cadence(cp) -> tuple[CadenceWindow, ...]:
+def _parse_cadence(items: dict) -> tuple[CadenceWindow, ...]:
     windows = []
-    if not cp.has_section("cadence"):
-        return ()
-    for key, value in cp.items("cadence"):
+    for key, value in items.items():
         line = key if value is None else f"{key} {value}"
         tokens = line.split()
         if len(tokens) != 4:
@@ -185,21 +235,17 @@ def _parse_cadence(cp) -> tuple[CadenceWindow, ...]:
     return tuple(windows)
 
 
-def _parse_lookups(cp, section: str) -> tuple[Lookup, ...]:
-    if not cp.has_section(section):
-        return ()
+def _parse_lookups(items: dict) -> tuple[Lookup, ...]:
     return tuple(Lookup(code=key, description=value or "")
-                 for key, value in cp.items(section))
+                 for key, value in items.items())
 
 
-def _parse_synth(cp) -> SynthProfile:
-    if not cp.has_section("synth"):
-        return SynthProfile()
+def _parse_synth(items: dict) -> SynthProfile:
     kwargs: dict = {}
     float_fields = {"temp_mean_c", "temp_swing_c", "temp_peak_hour", "gap_prob",
                     "free_flow_kmh", "peak_multiplier", "episode_prob",
                     "episode_multiplier", "outage_prob", "cell_gap_prob"}
-    for key, value in cp.items("synth"):
+    for key, value in items.items():
         if value is None:
             raise ConfigError(f"synth {key!r}: missing value")
         if key == "seed":
@@ -235,13 +281,11 @@ def _parse_synth(cp) -> SynthProfile:
     return SynthProfile(**kwargs)
 
 
-def _parse_rules(cp, base_dir: Path) -> RuleSet:
-    if not cp.has_section("rules"):
-        return RuleSet.defaults()
-    items = dict(cp.items("rules"))
-    path_s = items.pop("file", None)
-    if items:
-        raise ConfigError(f"unknown rules settings: {', '.join(sorted(items))}")
+def _parse_rules(items: dict, base_dir: Path) -> RuleSet:
+    unknown = sorted(items.keys() - {"file"})
+    if unknown:
+        raise ConfigError(f"unknown rules settings: {', '.join(unknown)}")
+    path_s = items.get("file")
     if path_s is None:
         return RuleSet.defaults()
     path = Path(path_s)
@@ -252,21 +296,19 @@ def _parse_rules(cp, base_dir: Path) -> RuleSet:
     return RuleSet.from_text(path.read_text(), origin=str(path))
 
 
-def _build(cp, base_dir: Path) -> Config:
+def _build(sections: _Sections, base_dir: Path) -> Config:
     for section in ("points", "weather_stations", "pollution_stations"):
-        if not cp.has_section(section):
+        if section not in sections:
             raise ConfigError(f"config is missing the [{section}] section")
-    points = _parse_points(cp)
+    points = _parse_points(sections["points"])
     if len(points) == 1:
         raise ConfigError("one configured point makes no routes; give two or none")
     routes = tuple(enumerate_routes(points)) if points else ()
-    store_path = "urbanobs.db"
-    if cp.has_section("store"):
-        store_path = dict(cp.items("store")).get("path") or store_path
+    store_path = sections.get("store", {}).get("path") or "urbanobs.db"
     env_path = os.environ.get(STORE_ENV_VAR)
     if env_path:
         store_path = env_path
-    stations = _parse_weather_stations(cp)
+    stations = _parse_weather_stations(sections["weather_stations"])
     seen = {}
     for meta in stations:
         code = meta.station.station_id or meta.station.airport_code
@@ -280,13 +322,13 @@ def _build(cp, base_dir: Path) -> Config:
         points=points,
         routes=routes,
         weather_stations=stations,
-        pollution_stations=_parse_pollution_stations(cp),
-        windows=_parse_cadence(cp),
-        rules=_parse_rules(cp, base_dir),
-        profile=_parse_synth(cp),
-        time_zones=_parse_lookups(cp, "time_zones"),
-        conds=_parse_lookups(cp, "conds"),
-        icons=_parse_lookups(cp, "icons"),
+        pollution_stations=_parse_pollution_stations(sections["pollution_stations"]),
+        windows=_parse_cadence(sections.get("cadence", {})),
+        rules=_parse_rules(sections.get("rules", {}), base_dir),
+        profile=_parse_synth(sections.get("synth", {})),
+        time_zones=_parse_lookups(sections.get("time_zones", {})),
+        conds=_parse_lookups(sections.get("conds", {})),
+        icons=_parse_lookups(sections.get("icons", {})),
     )
     tz_codes = {l.code for l in config.time_zones}
     for meta in stations:
@@ -313,9 +355,7 @@ def load_config(path: str | Path) -> Config:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = _parser()
-    _read(cp, path.read_text(), str(path))
-    return _build(cp, path.parent.resolve())
+    return _build(_sections(path.read_text(), str(path)), path.parent.resolve())
 
 
 def default_config_text() -> str:
@@ -324,6 +364,4 @@ def default_config_text() -> str:
 
 
 def load_default() -> Config:
-    cp = _parser()
-    _read(cp, default_config_text(), "<default config>")
-    return _build(cp, Path.cwd())
+    return _build(_sections(default_config_text(), "<default config>"), Path.cwd())

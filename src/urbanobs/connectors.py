@@ -191,36 +191,11 @@ def _check_timestamp_text(text: str, origin: str, line_no: int) -> None:
         raise ParseError(f"bad timestamp {text!r}", origin=origin, line_no=line_no)
 
 
-# The words shlex.quote writes: bare runs and '...' or "..." runs,
-# concatenated. Whitespace is shlex's own set, not \s. The word is
-# written as bare* (quoted bare*)* so that no two ways of splitting it
-# exist; a nested (bare+ | quoted)+ backtracks exponentially on an
-# unclosed quote.
-_BARE = r"""[^ \t\r\n'"]*"""
-_WORD = rf"""(?=[^ \t\r\n]){_BARE}(?:(?:'[^']*'|"[^"]*"){_BARE})*"""
-_LINE_RE = re.compile(rf"[ \t\r\n]*(?:{_WORD}(?:[ \t\r\n]+{_WORD})*)?[ \t\r\n]*")
-_WORD_RE = re.compile(_WORD)
-_PIECE_RE = re.compile(r"""'([^']*)'|"([^"]*)"|([^'"]+)""")
-
-
-def _split_words(line: str) -> list[str]:
-    """shlex.split(line), fast for lines without backslashes.
-
-    A line holding a backslash or not matching the quoting grammar
-    (say, an unclosed quote) goes to shlex.split itself, so odd input
-    gets the same tokens or the same ValueError.
-    """
-    if "\\" in line or _LINE_RE.fullmatch(line) is None:
-        return shlex.split(line)
-    return ["".join(map("".join, _PIECE_RE.findall(w))) if "'" in w or '"' in w
-            else w for w in _WORD_RE.findall(line)]
-
-
 # The lines weather_payload_body writes, matched whole: station and
 # timestamp as bare words, then ' key=value' pairs whose value is a
 # non-empty bare word or a non-empty '...' run, each followed by a
 # single space or the end. Such a line splits into the same tokens under
-# shlex; any other line takes the general tokenizer.
+# shlex; any other line goes to shlex.split.
 _FAST_BARE = r"""[^ \t\r\n'"\\]+"""
 _FAST_LINE_RE = re.compile(
     rf"""({_FAST_BARE}) ({_FAST_BARE})((?: [a-z_]+=(?:{_FAST_BARE}|'[^']+'))*)""")
@@ -266,7 +241,7 @@ def parse_weather_observations(
                 ))
                 continue
         try:
-            tokens = _split_words(line)
+            tokens = shlex.split(line)
         except ValueError as exc:
             raise ParseError(f"unbalanced quoting: {exc}", origin=payload.origin,
                              line_no=line_no)

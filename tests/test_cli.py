@@ -152,6 +152,23 @@ class TestRun:
             for table in ("weathers", "traffics", "pollutions"):
                 assert s.record_count(table) == 0
 
+    @pytest.mark.parametrize("argv,days", [(["--days", "-1"], -1),
+                                           (["--days=-3"], -3)])
+    def test_negative_days_refused(self, cli, collected, tmp_path, argv, days):
+        def dump():
+            tables = {}
+            for table in ("weathers", "traffics", "pollutions"):
+                dest = tmp_path / f"{table}.csv"
+                cli("export", table, "--csv", str(dest))
+                tables[table] = dest.read_bytes()
+            return tables
+
+        before = dump()
+        out, err = cli("run", *argv, "--start", DAY.isoformat(), expect=1)
+        assert out == ""
+        assert err == f"error: --days must be 0 or more, got {days}\n"
+        assert dump() == before
+
     def test_outage_day_keeps_hours_but_all_na(self, tmp_path, capsys):
         cfg = tmp_path / "outage.cfg"
         cfg.write_text(TINY_CFG_TEXT.replace(

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import configparser
+import dataclasses
+from pathlib import Path
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from urbanobs import config
 from urbanobs.config import (
     STORE_ENV_VAR,
     WDIRE_LOOKUPS,
@@ -242,3 +249,141 @@ class TestSynthSection:
         text = MINIMAL + f"\n[synth]\n{line}\n"
         with pytest.raises(ConfigError, match=hint):
             load_text(tmp_path, text)
+
+
+# Pieces that stress the plain reader: brackets, both separators
+# configparser knows, comment prefixes, interpolation, whitespace that
+# str.strip removes but the reader must not take for column 0, and the
+# default section's name.
+_CFG_PIECE = st.sampled_from(
+    ["[", "]", "=", "#", ";", ":", "%", " ", "\t", "\r", "\x0c", "\xa0",
+     "\n", "\n", "\n", "DEFAULT", "a", "b", "k", "k", "x = 1"])
+_CFG_TEXT = st.builds(lambda head, pieces: head + "".join(pieces),
+                      st.sampled_from(["", "[a]\n"]),
+                      st.lists(_CFG_PIECE, max_size=40))
+
+
+def _configparser_sections(text):
+    """configparser's sections in order, or None when it raises."""
+    cp = config._parser()
+    try:
+        cp.read_string(text, source="x")
+    # configparser before 3.13 raises AttributeError on a continued bare key.
+    except (configparser.Error, AttributeError):
+        return None
+    return [(s, list(cp.items(s))) for s in cp.sections()]
+
+
+class TestPlainReader:
+    @settings(max_examples=2000, deadline=None)
+    @given(_CFG_TEXT)
+    @example("[a]\nx = 1\ny\n\n# c\n  # indented comment\n[b]\nz=\n")
+    @example("[a]\nx = 1\n  more\n")
+    @example("[a]\nx\n  more\n")
+    @example("[a] x\n")
+    @example("[a]]\nk = v ]\n")
+    @example("[]\n")
+    @example("[DEFAULT]\nk = 1\n[a]\n")
+    @example("k = 1\n[a]\n")
+    @example("[a]\n= v\n")
+    @example("[a]\nk = 1\nk = 2\n")
+    @example("[a]\n[a]\n")
+    @example("[a]\xa0\nk\x0c=\xa0v\r\n")
+    @example("\xa0[a]\n")
+    def test_none_or_configparser_sections(self, text):
+        got = config._read_plain(text)
+        if got is not None:
+            assert [(s, list(v.items())) for s, v in got.items()] == \
+                _configparser_sections(text)
+
+    @pytest.mark.parametrize("text", [TINY_CFG_TEXT, MINIMAL,
+                                      default_config_text()])
+    def test_shipped_configs_are_plain(self, text):
+        got = config._read_plain(text)
+        assert got is not None
+        assert [(s, list(v.items())) for s, v in got.items()] == \
+            _configparser_sections(text)
+
+    def test_plain_configs_construct_no_configparser(self, tmp_path):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY_CFG_TEXT)
+        with mock.patch.object(configparser, "ConfigParser",
+                               side_effect=AssertionError("configparser used")):
+            load_default()
+            load_config(path)
+
+
+def _configparser_only_load(path: Path):
+    """load_config as it was before the plain reader: configparser only."""
+    cp = configparser.ConfigParser(
+        delimiters=("=",), allow_no_value=True, interpolation=None,
+        strict=True, comment_prefixes=("#",))
+    cp.optionxform = str
+    origin = str(path)
+    try:
+        cp.read_string(path.read_text(), source=origin)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(
+            f"{origin}: duplicate entry {exc.option!r} in [{exc.section}]"
+            + (" (duplicate point name)" if exc.section == "points" else ""))
+    except configparser.Error as exc:
+        raise ConfigError(f"{origin}: {exc}")
+    sections = {s: dict(cp.items(s)) for s in cp.sections()}
+    return config._build(sections, path.parent.resolve())
+
+
+def _load_outcome(load, path):
+    try:
+        cfg = load(path)
+    # configparser before 3.13 raises AttributeError on a continued bare key.
+    except (ConfigError, AttributeError) as exc:
+        return type(exc).__name__, str(exc)
+    # RuleSet has no equality of its own; compare the rules it holds.
+    return dataclasses.replace(cfg, rules=None), cfg.rules._rules
+
+
+_STATION = "pws_one = pws KTEST0001 25.67 -100.31 CST 30 test\n"
+
+# Broken and odd configs: each is MINIMAL with one edit.
+_ODD_CONFIGS = {
+    "duplicate section": MINIMAL + "\n[points]\n",
+    "duplicate key": MINIMAL.replace(_STATION, _STATION + _STATION),
+    "duplicate point": MINIMAL.replace("[points]\n",
+                                       "[points]\nalpha = 1.0 2.0 first\n"),
+    "key before first section": "path = x.db\n" + MINIMAL,
+    "empty key": MINIMAL.replace("[time_zones]\n", "[time_zones]\n= v\n"),
+    "default section supplies keys": MINIMAL + "\n[DEFAULT]\nUTC = Universal\n",
+    "default section supplies a bad key": "[DEFAULT]\nx = 1\n" + MINIMAL,
+    "indented continuation value": MINIMAL.replace(
+        "alpha = 25.67 -100.31 downtown\n",
+        "alpha = 25.67 -100.31\n  downtown\n"),
+    "indented continuation of a bare key": MINIMAL + "\n[cadence]\nx\n  y\n",
+    "indented key": MINIMAL.replace("beta =", "  beta ="),
+    "text after header": MINIMAL.replace("[time_zones]", "[time_zones] x"),
+    "empty header": MINIMAL + "\n[]\n",
+    "unclosed header": MINIMAL + "\n[synth\nseed = 1\n",
+    "bare point": MINIMAL.replace("[points]\n", "[points]\ngamma\n"),
+    "spaces and odd whitespace": MINIMAL.replace(
+        "CST = Central", "CST\x0c =\xa0 Central"),
+    "indented comment": MINIMAL.replace("[points]\n", "[points]\n   # note\n"),
+    "semicolon is not a comment": MINIMAL + "\n[conds]\n; Clear = sky\n",
+    "percent and colon": MINIMAL + "\n[conds]\n%x = 100%: y\n",
+    "store path": "[store]\npath = here.db\n" + MINIMAL,
+    "bare rules file key": MINIMAL + "\n[rules]\nfile\n",
+    "empty file": "",
+}
+
+
+class TestLoadConfigMatchesConfigparser:
+    @pytest.mark.parametrize("name", sorted(_ODD_CONFIGS))
+    def test_same_outcome(self, tmp_path, name):
+        path = tmp_path / "odd.cfg"
+        path.write_text(_ODD_CONFIGS[name])
+        assert _load_outcome(load_config, path) == \
+            _load_outcome(_configparser_only_load, path)
+
+    def test_packaged_default(self, tmp_path):
+        path = tmp_path / "default.cfg"
+        path.write_text(default_config_text())
+        assert _load_outcome(load_config, path) == \
+            _load_outcome(_configparser_only_load, path)

@@ -23,7 +23,6 @@ from urbanobs.connectors import (
     traffic_payload_body,
     weather_payload_body,
     _parse_timestamp_text,
-    _split_words,
 )
 from urbanobs.errors import (
     ConflictError,
@@ -493,18 +492,6 @@ def _outcome(fn, text):
 
 
 class TestFastTokenizer:
-    @settings(max_examples=1000, deadline=None)
-    @given(_LINE_TEXT)
-    @example("cond='Partly Cloudy' metar='METAR MMMY 160800Z'")
-    @example("a'b'\"c d\"e '' \"\"")
-    @example("it'\"'\"'s")
-    @example("'unclosed")
-    @example("\"unclosed")
-    @example("back\\ slash")
-    @example("x\x0by \xa0z")
-    def test_matches_shlex_split(self, text):
-        assert _outcome(_split_words, text) == _outcome(shlex.split, text)
-
     @settings(max_examples=500, deadline=None)
     @given(_LINE_TEXT.filter(lambda v: len(v.splitlines()) <= 1))
     @example("temp='20")

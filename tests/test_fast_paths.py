@@ -166,7 +166,7 @@ class TestWeatherLineParse:
             (airport.file_id, "2016-05-16T08:00:00",
              {"temp": "-1", "metar": "METAR MMMY 160800Z 00000KT", "fog": "0"}),
         ])
-        with mock.patch.object(connectors, "_split_words",
+        with mock.patch.object(connectors.shlex, "split",
                                side_effect=AssertionError("general path taken")):
             readings, quarantined = parse_weather_observations(
                 SourcePayload("weather", FETCHED, body, "x"), stations)
