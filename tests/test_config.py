@@ -275,7 +275,7 @@ def _configparser_sections(text):
 
 
 class TestPlainReader:
-    @settings(max_examples=2000, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(_CFG_TEXT)
     @example("[a]\nx = 1\ny\n\n# c\n  # indented comment\n[b]\nz=\n")
     @example("[a]\nx = 1\n  more\n")
