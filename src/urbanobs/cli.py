@@ -29,6 +29,7 @@ from .errors import Error, RunAborted
 from .scheduler import SimulatedClock, WallClock, build_plan, run_day
 from .storage import (
     DB_TIMESTAMP_FMT,
+    LOCATION_CATALOG,
     REPORT_COLUMNS,
     Store,
     export_csv,
@@ -36,9 +37,6 @@ from .storage import (
     resolve_table,
 )
 from .synth import SynthSource
-
-_LOCATION_TABLE = {"weathers": "locations_w", "traffics": "locations_t",
-                   "pollutions": "locations_p"}
 
 # Widest range the stored text timestamps can express with 4-digit years.
 _ALL_TIME_START = datetime(1000, 1, 1, 0, 0, 0)
@@ -76,7 +74,7 @@ def _existing_store(cfg: config_mod.Config) -> str:
 
 
 def _resolve_locations(store: Store, table: str, spec: str | None) -> list[int]:
-    ids_by_file = store.location_ids(_LOCATION_TABLE[table])
+    ids_by_file = store.location_ids(LOCATION_CATALOG[table])
     if spec is None:
         return sorted(ids_by_file.values())
     out = []

@@ -348,6 +348,9 @@ def _read(cp: configparser.ConfigParser, text: str, origin: str) -> None:
             + (" (duplicate point name)" if exc.section == "points" else ""))
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}")
+    except AttributeError:
+        # configparser before 3.13 raises this for an indented line after a bare key.
+        raise ConfigError(f"{origin}: key without value continued by an indented line")
 
 
 def load_config(path: str | Path) -> Config:

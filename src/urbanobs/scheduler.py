@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     Error,
     RecordRejected,
+    ReferentialError,
     RunAborted,
     StorageUnavailable,
 )
@@ -250,26 +251,29 @@ class _DayRunner:
         self.stations = {m.station.file_id: m.station
                          for m in config.weather_stations}
 
-    def _insert(self, record) -> None:
-        status = self.store.insert_record(record)
-        if status == "duplicate":
-            self.summary.duplicates += 1
-        else:
-            self.summary.stored += 1
+    def _ingest(self, validate, raws) -> None:
+        """Validate and store each candidate; a bad one costs only itself."""
+        summary = self.summary
+        for raw in raws:
+            try:
+                record, _report = validate(raw, self.config.rules)
+                if self.store.insert_record(record) == "duplicate":
+                    summary.duplicates += 1
+                else:
+                    summary.stored += 1
+            except RecordRejected as exc:
+                summary.rejected += 1
+                summary.failures.append(str(exc))
+            except ReferentialError as exc:  # a code or location not catalogued
+                summary.rejected += 1
+                summary.failures.append(f"{raw.timestamp} {raw.target}: {exc}")
 
     def traffic(self, entry) -> None:
         route = self.routes.get(entry.target)
         if route is None:
             raise ConfigError(f"plan names unknown route {entry.target!r}")
         payload = self.source.fetch_traffic(route, entry.at)
-        raw = parse_traffic_response(payload, route)
-        try:
-            record, _report = validate_traffic(raw, self.config.rules)
-        except RecordRejected as exc:
-            self.summary.rejected += 1
-            self.summary.failures.append(str(exc))
-            return
-        self._insert(record)
+        self._ingest(validate_traffic, [parse_traffic_response(payload, route)])
 
     def weather_backfill(self, entry) -> None:
         day_before = self.plan.day - timedelta(days=1)
@@ -281,14 +285,7 @@ class _DayRunner:
                     payload, self.stations)
                 self.quarantine.extend(quarantined)
                 self.summary.quarantined += len(quarantined)
-                for raw in readings:
-                    try:
-                        record, _report = validate_weather(raw, self.config.rules)
-                    except RecordRejected as exc:
-                        self.summary.rejected += 1
-                        self.summary.failures.append(str(exc))
-                        continue
-                    self._insert(record)
+                self._ingest(validate_weather, readings)
             except StorageUnavailable:
                 raise
             except Error as exc:
@@ -303,15 +300,8 @@ class _DayRunner:
                 payload = self.source.fetch_pollution(
                     station, self.plan.day, request_hour, fetched_at=entry.at)
                 readings = parse_pollution_tables(payload)
-                candidates = assemble_station_day(readings, station, self.plan.day)
-                for raw in candidates:
-                    try:
-                        record, _report = validate_pollution(raw, self.config.rules)
-                    except RecordRejected as exc:
-                        self.summary.rejected += 1
-                        self.summary.failures.append(str(exc))
-                        continue
-                    self._insert(record)
+                self._ingest(validate_pollution,
+                             assemble_station_day(readings, station, self.plan.day))
             except StorageUnavailable:
                 raise
             except Error as exc:

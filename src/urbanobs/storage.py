@@ -10,6 +10,12 @@ inserts idempotent.
 Timestamps are stored as naive local text 'YYYY-MM-DD HH:MM:SS' next
 to a time-zone code reference, so lexicographic order is chronological
 and inclusive BETWEEN ranges behave predictably.
+
+Each table is stated once, by its `_SCHEMA` DDL, which is also the text
+SQLite stores; every column role, query attribute, CSV cell type,
+report column and insert statement is read off it. `_KINDS` adds only
+what DDL cannot say. A record dataclass's fields, minus its location
+attribute, follow its table's columns in order.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ import csv
 import io
 import sqlite3
 from contextlib import contextmanager
-from dataclasses import dataclass
-from datetime import datetime
+from dataclasses import dataclass, fields
+from datetime import date, datetime
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     MigrationRequired,
@@ -31,7 +38,6 @@ from .errors import (
     StorageUnavailable,
 )
 from .model import (
-    CONTAMINANTS,
     Lookup,
     PollutionRecord,
     PollutionStation,
@@ -39,7 +45,6 @@ from .model import (
     TrafficRoute,
     WeatherRecord,
     WeatherStation,
-    WEATHER_FLAG_ATTRIBUTES,
     format_timestamp,
 )
 
@@ -52,6 +57,7 @@ __all__ = [
     "TABLE_COLUMNS",
     "RECORD_TABLES",
     "REPORT_COLUMNS",
+    "LOCATION_CATALOG",
     "DB_TIMESTAMP_FMT",
 ]
 
@@ -174,78 +180,80 @@ _SCHEMA = {
 RECORD_TABLES = ("weathers", "traffics", "pollutions")
 LOOKUP_TABLES = ("time_zones", "wdires", "conds", "icons")
 
-_TABLE_ALIASES = {
-    "weather": "weathers", "weathers": "weathers",
-    "traffic": "traffics", "traffics": "traffics",
-    "pollution": "pollutions", "pollutions": "pollutions",
+
+class _Kind(NamedTuple):
+    """What the DDL cannot say about one record table."""
+
+    record: type        # the record dataclass the table stores
+    entry: type         # the catalog entry type its location points at
+    location_attr: str  # record attribute holding that entry's file_id
+    noun: str           # the location's name in error texts
+    alias: str          # singular table name a query may use
+
+
+_KINDS = {
+    "weathers": _Kind(WeatherRecord, WeatherStation, "station",
+                      "weather station", "weather"),
+    "traffics": _Kind(TrafficRecord, TrafficRoute, "route", "route", "traffic"),
+    "pollutions": _Kind(PollutionRecord, PollutionStation, "station",
+                        "pollution station", "pollution"),
 }
 
-_TS_COL = {"weathers": "timestamp_w", "traffics": "timestamp_t",
-           "pollutions": "timestamp_p"}
-_LOCATION_COL = {"weathers": "id_locations_w", "traffics": "id_locations_t",
-                 "pollutions": "id_locations_p"}
-_LOOKUP_CODE_COL = {"time_zones": "time_zone", "wdires": "wdire",
-                    "conds": "cond", "icons": "icon"}
-_LOOKUP_PK = {"time_zones": "id_time_zone", "wdires": "id_wdire",
-              "conds": "id_cond", "icons": "id_icon"}
 
-
-def _columns_of(sql: str) -> tuple[str, ...]:
+def _columns_of(sql: str) -> tuple[tuple[str, str, str | None], ...]:
+    """(name, declared type, referenced table or None) per column."""
     cols = []
     for line in sql.splitlines():
-        line = line.strip().rstrip(",")
-        if not line or line.startswith(("CREATE", ")", "UNIQUE")):
+        words = line.strip().rstrip(",").split()
+        if not words or words[0] in ("CREATE", ")", "UNIQUE"):
             continue
-        cols.append(line.split()[0])
+        ref = line.partition(" REFERENCES ")[2].partition("(")[0]
+        cols.append((words[0], words[1], ref or None))
     return tuple(cols)
 
 
-TABLE_COLUMNS = {name: _columns_of(sql) for name, sql in _SCHEMA.items()}
+_COLUMNS = {name: _columns_of(sql) for name, sql in _SCHEMA.items()}
+TABLE_COLUMNS = {name: tuple(c[0] for c in cols)
+                 for name, cols in _COLUMNS.items()}
 
-# Attributes a query may name, mapped onto stored columns. Code-backed
-# attributes resolve through their lookup table and come back as codes.
-_CODE_ATTRS = {
-    "weathers": {"time_zone": ("id_time_zone", "time_zones"),
-                 "wdire": ("id_wdire", "wdires"),
-                 "cond": ("id_cond", "conds"),
-                 "icon": ("id_icon", "icons")},
-    "traffics": {},
-    "pollutions": {},
-}
+# Every role below is read off the DDL. A record table's columns are
+# its surrogate id, its timestamp, its measures and, last, its location,
+# whose REFERENCES names the catalog. A code table's columns are its
+# id and its code.
+LOCATION_CATALOG = {t: _COLUMNS[t][-1][2] for t in RECORD_TABLES}
+_CATALOG_OF_ENTRY = {k.entry: LOCATION_CATALOG[t] for t, k in _KINDS.items()}
+_TABLE_ALIASES = {name: t for t, k in _KINDS.items() for name in (t, k.alias)}
 
-_PLAIN_ATTRS = {
-    "weathers": ("temp", "dewpt", "hum", "wspd", "wgust", "wdird", "pressure",
-                 "windchill", "heatindex", "preciprate", "preciptotal",
-                 "solarradiation", "uv", "vis", "precip", "fog", "rain",
-                 "snow", "hail", "thunder", "tornado", "metar"),
-    "traffics": ("traveldist", "traveltime_std", "traveltime_curr"),
-    "pollutions": CONTAMINANTS,
-}
+_CELL_TYPE = {"INTEGER": int, "REAL": float, "TEXT": str}
 
-# Python-side types for CSV import, per record table.
-_INT_ATTRS = {
-    "weathers": set(WEATHER_FLAG_ATTRIBUTES),
-    "traffics": set(),
-    "pollutions": set(CONTAMINANTS),
-}
-_TEXT_ATTRS = {
-    "weathers": {"metar", "cond", "icon", "wdire", "time_zone"},
-    "traffics": set(),
-    "pollutions": set(),
-}
+
+def _attributes(table: str) -> dict[str, tuple[str, str | None, type]]:
+    """Query attribute -> (stored column, code table or None, CSV cell type).
+
+    A measure is its own attribute. A measure that references a code
+    table is queried by that table's code column and comes back as the
+    code; those attributes follow the plain ones.
+    """
+    measures = _COLUMNS[table][2:-1]
+    attrs = {name: (name, None, _CELL_TYPE[type_])
+             for name, type_, ref in measures if ref is None}
+    for name, _, ref in measures:
+        if ref is not None:
+            code, code_type, _ = _COLUMNS[ref][1]
+            attrs[code] = (name, ref, _CELL_TYPE[code_type])
+    return attrs
+
+
+_ATTRS = {t: _attributes(t) for t in RECORD_TABLES}
 
 # Columns counted by the accounting report, in presentation order. The
 # direction code column is counted as stored (id_wdire); sky condition,
 # icon, zone and raw METAR text are bookkeeping, not measurements, and
 # stay out of the report.
-REPORT_COLUMNS = {
-    "weathers": ("temp", "dewpt", "hum", "wspd", "wgust", "wdird", "id_wdire",
-                 "pressure", "windchill", "heatindex", "preciprate",
-                 "preciptotal", "solarradiation", "uv", "vis", "precip",
-                 "fog", "rain", "snow", "hail", "thunder", "tornado"),
-    "traffics": ("traveldist", "traveltime_std", "traveltime_curr"),
-    "pollutions": CONTAMINANTS,
-}
+_NOT_REPORTED = {"id_time_zone", "id_cond", "id_icon", "metar"}
+REPORT_COLUMNS = {t: tuple(c for c in TABLE_COLUMNS[t][2:-1]
+                           if c not in _NOT_REPORTED)
+                  for t in RECORD_TABLES}
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def resolve_table(name: str) -> str:
 
 def queryable_attributes(table: str) -> tuple[str, ...]:
     table = resolve_table(table)
-    return tuple(_PLAIN_ATTRS[table]) + tuple(_CODE_ATTRS[table])
+    return tuple(_ATTRS[table])
 
 
 # One statement per record: a row whose (timestamp, location) is already
@@ -287,9 +295,25 @@ def queryable_attributes(table: str) -> tuple[str, ...]:
 _INSERT_SQL = {
     t: (f"INSERT INTO {t} ({', '.join(TABLE_COLUMNS[t][1:])}) "
         f"VALUES ({', '.join('?' * (len(TABLE_COLUMNS[t]) - 1))}) "
-        f"ON CONFLICT({_TS_COL[t]}, {_LOCATION_COL[t]}) DO NOTHING")
+        f"ON CONFLICT({TABLE_COLUMNS[t][1]}, {TABLE_COLUMNS[t][-1]}) DO NOTHING")
     for t in RECORD_TABLES
 }
+
+
+def _insert_plan(table: str) -> tuple:
+    """How a record becomes its row: table, location catalog and noun,
+    getters of the location's file_id and of the other fields in column
+    order, and (position, code table, noun) per code."""
+    kind = _KINDS[table]
+    names = [f.name for f in fields(kind.record) if f.name != kind.location_attr]
+    codes = tuple((i, ref, f"{TABLE_COLUMNS[ref][1]} code")
+                  for i, (_, _, ref) in enumerate(_COLUMNS[table][1:-1])
+                  if ref is not None)
+    return (table, LOCATION_CATALOG[table], kind.noun,
+            attrgetter(kind.location_attr), attrgetter(*names), codes)
+
+
+_INSERT_PLANS = {k.record: _insert_plan(t) for t, k in _KINDS.items()}
 
 
 def _ts_text(ts: datetime) -> str:
@@ -399,44 +423,25 @@ class Store:
 
     def upsert_location(self, loc: WeatherStation | TrafficRoute | PollutionStation) -> int:
         """Insert or update a catalog entry; the surrogate id is stable."""
-        if isinstance(loc, WeatherStation):
-            table, fields = "locations_w", {
-                "station_id": loc.station_id, "airport_code": loc.airport_code,
-                "lat": loc.lat, "long": loc.long,
-                "description": loc.description,
-                "software_type": loc.software_type,
-                "since": loc.since.isoformat() if loc.since else None,
-            }
-        elif isinstance(loc, TrafficRoute):
-            table, fields = "locations_t", {
-                "start_lat": loc.start_lat, "start_long": loc.start_long,
-                "end_lat": loc.end_lat, "end_long": loc.end_long,
-                "description_from": loc.description_from,
-                "description_to": loc.description_to,
-            }
-        elif isinstance(loc, PollutionStation):
-            table, fields = "locations_p", {
-                "lat": loc.lat, "long": loc.long, "description": loc.description,
-            }
-        else:
+        table = _CATALOG_OF_ENTRY.get(type(loc))
+        if table is None:
             raise StorageError(f"not a location object: {loc!r}")
-        pk = _LOCATION_COL[{"locations_w": "weathers", "locations_t": "traffics",
-                            "locations_p": "pollutions"}[table]]
-        row = self._execute(
-            f"SELECT {pk} FROM {table} WHERE file_id = ?",
-            (loc.file_id,)).fetchone()
+        pk, _, *cols = TABLE_COLUMNS[table]
+        # sqlite3's date adapter is deprecated: dates go in as ISO text.
+        values = [v.isoformat() if isinstance(v, date) else v
+                  for v in (getattr(loc, c) for c in cols)]
+        row = self._execute(f"SELECT {pk} FROM {table} WHERE file_id = ?",
+                            (loc.file_id,)).fetchone()
         if row is not None:
-            sets = ", ".join(f"{k} = ?" for k in fields)
-            self._execute(
-                f"UPDATE {table} SET {sets} WHERE {pk} = ?",
-                (*fields.values(), row[0]))
+            sets = ", ".join(f"{c} = ?" for c in cols)
+            self._execute(f"UPDATE {table} SET {sets} WHERE {pk} = ?",
+                          (*values, row[0]))
             self._commit()
             return row[0]
-        cols = ", ".join(["file_id", *fields])
-        marks = ", ".join("?" * (len(fields) + 1))
+        marks = ", ".join("?" * (len(cols) + 1))
         cur = self._execute(
-            f"INSERT INTO {table} ({cols}) VALUES ({marks})",
-            (loc.file_id, *fields.values()))
+            f"INSERT INTO {table} (file_id, {', '.join(cols)}) VALUES ({marks})",
+            (loc.file_id, *values))
         self._commit()
         return cur.lastrowid
 
@@ -444,7 +449,7 @@ class Store:
         """Load or refresh code-table rows; idempotent per code."""
         if table not in LOOKUP_TABLES:
             raise StorageError(f"not a lookup table: {table!r}")
-        code_col = _LOOKUP_CODE_COL[table]
+        code_col = TABLE_COLUMNS[table][1]
         for e in entries:
             self._execute(
                 f"INSERT INTO {table} ({code_col}, description) VALUES (?, ?) "
@@ -455,32 +460,24 @@ class Store:
 
     def location_ids(self, table: str) -> dict[str, int]:
         """file_id -> row id for one location catalog."""
-        if table not in ("locations_w", "locations_t", "locations_p"):
+        if table not in LOCATION_CATALOG.values():
             raise StorageError(f"not a location table: {table!r}")
         pk = TABLE_COLUMNS[table][0]
         return {r[1]: r[0] for r in
                 self._execute(f"SELECT {pk}, file_id FROM {table}")}
 
-    def _resolve(self, table: str, key_col: str, key: str, what: str) -> int:
+    def _resolve(self, table: str, key: str, what: str) -> int:
+        """Row id of a catalog entry by file_id, or of a code."""
         cached = self._id_cache.get((table, key))
         if cached is not None:
             return cached
-        pk = TABLE_COLUMNS[table][0]
+        pk, key_col = TABLE_COLUMNS[table][:2]
         row = self._execute(
             f"SELECT {pk} FROM {table} WHERE {key_col} = ?", (key,)).fetchone()
         if row is None:
             raise ReferentialError(f"unknown {what} {key!r} (table {table})")
         self._id_cache[(table, key)] = row[0]
         return row[0]
-
-    def _resolve_code(self, table: str, code: str | None) -> int | None:
-        if code is None:
-            return None
-        cached = self._id_cache.get((table, code))
-        if cached is not None:
-            return cached
-        return self._resolve(table, _LOOKUP_CODE_COL[table], code,
-                             f"{_LOOKUP_CODE_COL[table]} code")
 
     # -- record inserts ------------------------------------------------------
 
@@ -489,16 +486,18 @@ class Store:
 
         A row with the same (timestamp, location) already present makes
         the call a no-op; stored data is never overwritten by re-runs.
+        The location resolves first, then each code in column order.
         """
-        if isinstance(rec, WeatherRecord):
-            return self._insert_weather(rec)
-        if isinstance(rec, TrafficRecord):
-            return self._insert_traffic(rec)
-        if isinstance(rec, PollutionRecord):
-            return self._insert_pollution(rec)
-        raise StorageError(f"not a record object: {rec!r}")
-
-    def _insert_row(self, table: str, args: tuple) -> str:
+        plan = _INSERT_PLANS.get(type(rec))
+        if plan is None:
+            raise StorageError(f"not a record object: {rec!r}")
+        table, catalog, noun, location_of, values_of, codes = plan
+        loc_id = self._resolve(catalog, location_of(rec), noun)
+        args = [*values_of(rec), loc_id]
+        args[0] = _ts_text(args[0])
+        for i, lookup, what in codes:
+            if args[i] is not None:
+                args[i] = self._resolve(lookup, args[i], what)
         try:
             cur = self._conn.execute(_INSERT_SQL[table], args)
         except sqlite3.IntegrityError as exc:
@@ -507,33 +506,6 @@ class Store:
             raise StorageUnavailable(f"insert into {table} failed: {exc}") from exc
         self._commit()
         return "inserted" if cur.rowcount else "duplicate"
-
-    def _insert_weather(self, rec: WeatherRecord) -> str:
-        loc_id = self._resolve("locations_w", "file_id", rec.station,
-                               "weather station")
-        code = self._resolve_code
-        return self._insert_row("weathers", (
-            _ts_text(rec.timestamp), code("time_zones", rec.tz),
-            rec.temp, rec.dewpt, rec.hum, rec.wspd, rec.wgust, rec.wdird,
-            code("wdires", rec.wdire),
-            rec.pressure, rec.windchill, rec.heatindex, rec.preciprate,
-            rec.preciptotal, rec.solarradiation, rec.uv, rec.vis, rec.precip,
-            code("conds", rec.cond), code("icons", rec.icon),
-            rec.fog, rec.rain, rec.snow, rec.hail, rec.thunder, rec.tornado,
-            rec.metar, loc_id))
-
-    def _insert_traffic(self, rec: TrafficRecord) -> str:
-        loc_id = self._resolve("locations_t", "file_id", rec.route, "route")
-        return self._insert_row("traffics", (
-            _ts_text(rec.timestamp), rec.traveldist, rec.traveltime_std,
-            rec.traveltime_curr, loc_id))
-
-    def _insert_pollution(self, rec: PollutionRecord) -> str:
-        loc_id = self._resolve("locations_p", "file_id", rec.station,
-                               "pollution station")
-        return self._insert_row("pollutions", (
-            _ts_text(rec.timestamp), rec.pm10, rec.o3, rec.co, rec.so2,
-            rec.no2, rec.pm25, loc_id))
 
     # -- queries ----------------------------------------------------------
 
@@ -555,25 +527,24 @@ class Store:
         table = resolve_table(table)
         if start > end:
             raise QueryError(f"range start {start} is after end {end}")
-        plain = set(_PLAIN_ATTRS[table])
-        coded = _CODE_ATTRS[table]
+        known = _ATTRS[table]
         exprs, joins = [], {}
         for attr in attributes:
-            if attr in plain:
-                exprs.append(f"t.{attr}")
-            elif attr in coded:
-                col, ltable = coded[attr]
-                joins[ltable] = (f"LEFT JOIN {ltable} ON t.{col} = "
-                                 f"{ltable}.{_LOOKUP_PK[ltable]}")
-                exprs.append(f"{ltable}.{_LOOKUP_CODE_COL[ltable]}")
-            else:
+            if attr not in known:
                 raise QueryError(f"table {table} has no attribute {attr!r}")
+            col, ltable, _ = known[attr]
+            if ltable is None:
+                exprs.append(f"t.{col}")
+            else:
+                joins[ltable] = (f"LEFT JOIN {ltable} ON t.{col} = "
+                                 f"{ltable}.{TABLE_COLUMNS[ltable][0]}")
+                exprs.append(f"{ltable}.{attr}")
         if not attributes:
             raise QueryError("query needs at least one attribute")
         columns = ("timestamp", "location", *attributes)
         if not location_ids:
             return QueryResult(kind=table, columns=columns, rows=())
-        ts_col, loc_col = _TS_COL[table], _LOCATION_COL[table]
+        ts_col, loc_col = TABLE_COLUMNS[table][1], TABLE_COLUMNS[table][-1]
         marks = ", ".join("?" * len(location_ids))
         sql = (f"SELECT t.{ts_col}, t.{loc_col}, {', '.join(exprs)} "
                f"FROM {table} t {' '.join(joins.values())} "
@@ -616,7 +587,7 @@ class Store:
             columns = REPORT_COLUMNS[table]
             counts = ", ".join(f"COUNT({col})" for col in columns)
             months, *nonempty = self._execute(
-                f"SELECT COUNT(DISTINCT substr({_TS_COL[table]}, 1, 7)), "
+                f"SELECT COUNT(DISTINCT substr({TABLE_COLUMNS[table][1]}, 1, 7)), "
                 f"{counts} FROM {table}").fetchone()
             for col, n in zip(columns, nonempty):
                 out.append(SummaryRow(table, col, n, n / months if months else 0.0))
@@ -626,24 +597,20 @@ class Store:
 
     def referential_violations(self) -> list[str]:
         """Full-scan check of every record-to-catalog pointer."""
-        checks = [
-            ("weathers", "id_locations_w", "locations_w"),
-            ("weathers", "id_time_zone", "time_zones"),
-            ("weathers", "id_wdire", "wdires"),
-            ("weathers", "id_cond", "conds"),
-            ("weathers", "id_icon", "icons"),
-            ("traffics", "id_locations_t", "locations_t"),
-            ("pollutions", "id_locations_p", "locations_p"),
-        ]
         problems = []
-        for table, col, target in checks:
-            pk = TABLE_COLUMNS[target][0]
-            n = self._execute(
-                f"SELECT COUNT(*) FROM {table} t LEFT JOIN {target} x "
-                f"ON t.{col} = x.{pk} WHERE t.{col} IS NOT NULL "
-                f"AND x.{pk} IS NULL").fetchone()[0]
-            if n:
-                problems.append(f"{table}.{col}: {n} rows point nowhere")
+        for table in RECORD_TABLES:
+            cols = _COLUMNS[table]
+            # The location pointer first, then the codes in column order.
+            for col, _, target in (cols[-1], *cols[:-1]):
+                if target is None:
+                    continue
+                pk = TABLE_COLUMNS[target][0]
+                n = self._execute(
+                    f"SELECT COUNT(*) FROM {table} t LEFT JOIN {target} x "
+                    f"ON t.{col} = x.{pk} WHERE t.{col} IS NOT NULL "
+                    f"AND x.{pk} IS NULL").fetchone()[0]
+                if n:
+                    problems.append(f"{table}.{col}: {n} rows point nowhere")
         return problems
 
 
@@ -663,20 +630,6 @@ def export_csv(result: QueryResult, dest=None) -> str:
     return text
 
 
-def _parse_cell(table: str, column: str, text: str):
-    if text == "":
-        return None
-    if column == "timestamp":
-        return text
-    if column == "location":
-        return int(text)
-    if column in _TEXT_ATTRS[table]:
-        return text
-    if column in _INT_ATTRS[table]:
-        return int(text)
-    return float(text)
-
-
 def import_csv(text: str, table: str) -> QueryResult:
     """Parse CSV produced by export_csv back into a typed result."""
     table = resolve_table(table)
@@ -685,14 +638,17 @@ def import_csv(text: str, table: str) -> QueryResult:
         header = tuple(next(reader))
     except StopIteration:
         raise QueryError("CSV is empty, expected a header row")
-    known = {"timestamp", "location", *_PLAIN_ATTRS[table], *_CODE_ATTRS[table]}
+    cell_type = {"timestamp": str, "location": int,
+                 **{attr: spec[2] for attr, spec in _ATTRS[table].items()}}
     for col in header:
-        if col not in known:
+        if col not in cell_type:
             raise QueryError(f"CSV column {col!r} is not a {table} attribute")
+    types = [cell_type[col] for col in header]
     rows = []
     for row in reader:
         if len(row) != len(header):
             raise QueryError(
                 f"CSV row has {len(row)} cells, header has {len(header)}")
-        rows.append(tuple(_parse_cell(table, c, v) for c, v in zip(header, row)))
+        # The empty cell is NA.
+        rows.append(tuple(None if v == "" else f(v) for f, v in zip(types, row)))
     return QueryResult(kind=table, columns=header, rows=tuple(rows))

@@ -322,6 +322,16 @@ class TestReport:
         assert cells[-2] == "4"       # 4 non-empty in one month
         assert cells[-1] == "4.0"     # divided by 1 month
 
+    def test_continued_bare_key_is_a_config_error(self, tmp_path, db_path, capsys):
+        # configparser before 3.13 raises AttributeError on this text.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG_TEXT.replace("[cadence]\n", "[cadence]\nx\n  y\n"))
+        code = main(["report", "--config", str(bad), "--store", str(db_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ") and "continued" in err.lower()
+        assert "Traceback" not in err
+
 
 class TestExport:
     def test_full_table_csv(self, cli, collected, tmp_path):

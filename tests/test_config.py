@@ -328,6 +328,9 @@ def _configparser_only_load(path: Path):
             + (" (duplicate point name)" if exc.section == "points" else ""))
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}")
+    # configparser before 3.13 raises AttributeError on a continued bare key.
+    except AttributeError:
+        raise ConfigError(f"{origin}: key without value continued by an indented line")
     sections = {s: dict(cp.items(s)) for s in cp.sections()}
     return config._build(sections, path.parent.resolve())
 
@@ -335,8 +338,7 @@ def _configparser_only_load(path: Path):
 def _load_outcome(load, path):
     try:
         cfg = load(path)
-    # configparser before 3.13 raises AttributeError on a continued bare key.
-    except (ConfigError, AttributeError) as exc:
+    except ConfigError as exc:
         return type(exc).__name__, str(exc)
     # RuleSet has no equality of its own; compare the rules it holds.
     return dataclasses.replace(cfg, rules=None), cfg.rules._rules

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sqlite3
 from contextlib import contextmanager
 from datetime import date, datetime, timedelta
@@ -320,6 +321,44 @@ class TestRunDay:
         assert summary.quarantined == 2  # one ghost line per station feed
         assert len(sink) == 2
         assert all("pws_ghost" in q.reason for q in sink.items)
+
+    def test_uncatalogued_code_costs_only_its_record(self, tiny_cfg, tiny_store, plan):
+        bad = {}
+
+        class SandstormSource(SynthSource):
+            def fetch_weather(self, meta, day, fetched_at=None):
+                p = super().fetch_weather(meta, day, fetched_at)
+                if meta.station.file_id != "apt_one":
+                    return p
+                lines = p.body.splitlines()
+                lines[5], n = re.subn(r"cond=('[^']*'|\S+)", "cond=Sandstorm", lines[5])
+                assert n == 1
+                bad["ts"] = lines[5].split()[1]
+                return SourcePayload("weather", p.fetched_at,
+                                     "\n".join(lines) + "\n", p.origin)
+
+        summary = run_day(plan, SandstormSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        # The station's readings after the bad one are stored too.
+        assert tiny_store.all_counts()["weathers"] == 72 - 1
+        assert summary.stored == 72 - 1 + 4 + 22
+        assert summary.rejected == 1
+        assert summary.failures == [
+            f"{bad['ts']} apt_one: unknown cond code 'Sandstorm' (table conds)"]
+
+    def test_stale_catalog_fails_per_record(self, tiny_cfg, tiny_store, plan):
+        route = tiny_cfg.routes[0].file_id
+        tiny_store._conn.execute("DELETE FROM locations_w WHERE file_id = 'apt_one'")
+        tiny_store._conn.execute("DELETE FROM locations_t WHERE file_id = ?", (route,))
+        tiny_store._conn.commit()
+        summary = run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        counts = tiny_store.all_counts()
+        assert counts["weathers"] == 48 and counts["traffics"] == 2
+        # One failure per hourly airport reading and per poll of the route.
+        assert summary.rejected == len(summary.failures) == 24 + 2
+        assert sum(f.endswith(" apt_one: unknown weather station 'apt_one' "
+                              "(table locations_w)") for f in summary.failures) == 24
+        assert sum(f.endswith(f" {route}: unknown route {route!r} (table locations_t)")
+                   for f in summary.failures) == 2
 
     def test_multi_day_counts_accumulate(self, tiny_cfg, tiny_store):
         source = SynthSource(tiny_cfg.profile)

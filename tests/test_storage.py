@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
-from datetime import datetime
+from datetime import date, datetime
 
 import pytest
 
@@ -17,7 +18,9 @@ from urbanobs.model import (
     CONTAMINANTS,
     Lookup,
     PollutionRecord,
+    PollutionStation,
     TrafficRecord,
+    TrafficRoute,
     WeatherRecord,
     WeatherStation,
 )
@@ -219,6 +222,104 @@ class TestInserts:
             finally:
                 reader.close()
             assert store.record_count("weathers") == 0
+
+
+class TestEveryColumn:
+    """Each field lands in its own column, on insert, upsert and read."""
+
+    @staticmethod
+    def _row(store, table):
+        rows = store._conn.execute(f"SELECT * FROM {table}").fetchall()
+        assert len(rows) == 1
+        return rows[0]
+
+    @staticmethod
+    def _id(store, table, col, key):
+        return store._conn.execute(
+            f"SELECT {TABLE_COLUMNS[table][0]} FROM {table} WHERE {col} = ?",
+            (key,)).fetchone()[0]
+
+    def test_weather(self, tiny_store):
+        rec = w_rec(station="apt_one", tz="CST", temp=21.5, dewpt=11.25,
+                    hum=61.0, wspd=4.5, wgust=9.75, wdird=200.0, wdire="SSW",
+                    pressure=1013.5, windchill=20.25, heatindex=22.75,
+                    preciprate=0.5, preciptotal=1.25, solarradiation=350.0,
+                    uv=3.0, vis=9.5, precip=0.75, cond="Light Rain",
+                    icon="rain", fog=1, rain=0, snow=1, hail=0, thunder=1,
+                    tornado=0, metar="METAR MMTT 160800Z")
+        assert tiny_store.insert_record(rec) == "inserted"
+        s = tiny_store
+        loc = self._id(s, "locations_w", "file_id", "apt_one")
+        tz = self._id(s, "time_zones", "time_zone", "CST")
+        wdire = self._id(s, "wdires", "wdire", "SSW")
+        cond = self._id(s, "conds", "cond", "Light Rain")
+        icon = self._id(s, "icons", "icon", "rain")
+        assert self._row(s, "weathers") == (
+            1, "2016-05-16 08:00:00", tz, 21.5, 11.25, 61.0, 4.5, 9.75, 200.0,
+            wdire, 1013.5, 20.25, 22.75, 0.5, 1.25, 350.0, 3.0, 9.5, 0.75,
+            cond, icon, 1, 0, 1, 0, 1, 0, "METAR MMTT 160800Z", loc)
+        assert s.fetch_record("weathers", loc, T0) == {
+            "timestamp": "2016-05-16 08:00:00", "location": loc,
+            "temp": 21.5, "dewpt": 11.25, "hum": 61.0, "wspd": 4.5,
+            "wgust": 9.75, "wdird": 200.0, "pressure": 1013.5,
+            "windchill": 20.25, "heatindex": 22.75, "preciprate": 0.5,
+            "preciptotal": 1.25, "solarradiation": 350.0, "uv": 3.0,
+            "vis": 9.5, "precip": 0.75, "fog": 1, "rain": 0, "snow": 1,
+            "hail": 0, "thunder": 1, "tornado": 0,
+            "metar": "METAR MMTT 160800Z", "time_zone": "CST",
+            "wdire": "SSW", "cond": "Light Rain", "icon": "rain"}
+
+    def test_traffic(self, tiny_store):
+        assert tiny_store.insert_record(t_rec(route="beta-alpha")) == "inserted"
+        loc = self._id(tiny_store, "locations_t", "file_id", "beta-alpha")
+        assert self._row(tiny_store, "traffics") == (
+            1, "2016-05-16 08:00:00", 18560.0, 1215.0, 2066.0, loc)
+        assert tiny_store.fetch_record("traffics", loc, T0) == {
+            "timestamp": "2016-05-16 08:00:00", "location": loc,
+            "traveldist": 18560.0, "traveltime_std": 1215.0,
+            "traveltime_curr": 2066.0}
+
+    def test_pollution(self, tiny_store):
+        rec = p_rec(pm10=61, o3=32, co=13, so2=24, no2=45, pm25=56)
+        assert tiny_store.insert_record(rec) == "inserted"
+        loc = self._id(tiny_store, "locations_p", "file_id", "sima_test")
+        assert self._row(tiny_store, "pollutions") == (
+            1, "2016-05-16 08:00:00", 61, 32, 13, 24, 45, 56, loc)
+        assert tiny_store.fetch_record("pollutions", loc, T0) == {
+            "timestamp": "2016-05-16 08:00:00", "location": loc,
+            "pm10": 61, "o3": 32, "co": 13, "so2": 24, "no2": 45, "pm25": 56}
+
+    @pytest.mark.parametrize("entry,row", [
+        (WeatherStation(file_id="pws_x", lat=25.5, long=-100.25,
+                        description="roof", station_id="KX1",
+                        software_type="weewx", since=date(2015, 3, 1)),
+         ("pws_x", "KX1", None, 25.5, -100.25, "roof", "weewx", "2015-03-01")),
+        (WeatherStation(file_id="apt_x", lat=25.75, long=-100.125,
+                        description="tower", airport_code="MMXX"),
+         ("apt_x", None, "MMXX", 25.75, -100.125, "tower", None, None)),
+        (TrafficRoute(file_id="a-b", start_lat=25.5, start_long=-100.25,
+                      end_lat=25.75, end_long=-100.125,
+                      description_from="downtown", description_to="airport"),
+         ("a-b", 25.5, -100.25, 25.75, -100.125, "downtown", "airport")),
+        (PollutionStation(file_id="sima_x", lat=25.5, long=-100.25,
+                          description="monitor"),
+         ("sima_x", 25.5, -100.25, "monitor")),
+    ])
+    def test_catalog_entry(self, store, entry, row):
+        table, stale = {
+            WeatherStation: ("locations_w", dict(lat=1.0, long=2.0, description="",
+                                                 software_type=None, since=None)),
+            TrafficRoute: ("locations_t", dict(start_lat=1.0, end_long=2.0,
+                                               description_from="")),
+            PollutionStation: ("locations_p", dict(lat=1.0, description="")),
+        }[type(entry)]
+        loc = store.upsert_location(entry)
+        assert self._row(store, table) == (loc, *row)
+        # The update path writes the same columns.
+        assert store.upsert_location(dataclasses.replace(entry, **stale)) == loc
+        assert self._row(store, table) != (loc, *row)
+        assert store.upsert_location(entry) == loc
+        assert self._row(store, table) == (loc, *row)
 
 
 class TestQueries:
