@@ -19,6 +19,7 @@ parser.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -306,9 +307,16 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return status
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader left, as in `report | head`
+        # Python flushes stdout at exit; send what is left to devnull so
+        # that flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

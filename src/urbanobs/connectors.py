@@ -43,6 +43,7 @@ from .errors import ConflictError, ParseError, PreconditionError, SourceError
 from .model import (
     CONTAMINANTS,
     AIRPORT_ONLY_ATTRIBUTES,
+    TRAFFIC_ATTRIBUTES,
     WEATHER_ATTRIBUTES,
     PollutionStation,
     TrafficRoute,
@@ -298,15 +299,14 @@ def parse_traffic_response(payload: SourcePayload, route: TrafficRoute) -> RawRe
             f"traffic record needs 5 fields (route, timestamp, distance, "
             f"standard time, current time), got {len(tokens)}",
             origin=payload.origin, line_no=line_no)
-    file_id, ts_text, dist, t_std, t_curr = tokens
+    file_id, ts_text, *measures = tokens
     if file_id != route.file_id:
         raise ParseError(f"payload names route {file_id!r}, expected {route.file_id!r}",
                          origin=payload.origin, line_no=line_no)
     _check_timestamp_text(ts_text, payload.origin, line_no)
     return RawReading(
         kind="traffic", target=route.file_id, timestamp=ts_text,
-        fields={"traveldist": dist, "traveltime_std": t_std,
-                "traveltime_curr": t_curr},
+        fields=dict(zip(TRAFFIC_ATTRIBUTES, measures)),
         origin=payload.origin, fetched_at=payload.fetched_at,
     )
 

@@ -8,7 +8,7 @@ rose, and route-pair enumeration over named geographic points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime
 from enum import Enum
 from typing import Sequence
@@ -35,7 +35,10 @@ __all__ = [
     "CONTAMINANTS",
     "WEATHER_ATTRIBUTES",
     "WEATHER_FLAG_ATTRIBUTES",
+    "WEATHER_NUMERIC_ATTRIBUTES",
+    "TRAFFIC_ATTRIBUTES",
     "AIRPORT_ONLY_ATTRIBUTES",
+    "format_timestamp",
 ]
 
 IMECA_MIN = 0
@@ -242,30 +245,11 @@ class Lookup:
             raise ConfigError("lookup code must be non-empty")
 
 
-# Order matches the persistent column layout; parsers and serializers
-# reuse it so payload key order is stable.
-WEATHER_ATTRIBUTES = (
-    "temp", "dewpt", "hum", "wspd", "wgust", "wdird", "wdire",
-    "pressure", "windchill", "heatindex", "preciprate", "preciptotal",
-    "solarradiation", "uv", "vis", "precip", "cond", "icon",
-    "fog", "rain", "snow", "hail", "thunder", "tornado", "metar",
-)
-
-WEATHER_FLAG_ATTRIBUTES = ("fog", "rain", "snow", "hail", "thunder", "tornado")
-
 # Only airport feeds carry these; a personal station reporting one is a
 # format violation.
 AIRPORT_ONLY_ATTRIBUTES = (
     "vis", "precip", "fog", "rain", "snow", "hail", "thunder", "tornado", "metar",
 )
-
-WEATHER_CODE_ATTRIBUTES = ("wdire", "cond", "icon")
-
-WEATHER_NUMERIC_ATTRIBUTES = tuple(
-    a for a in WEATHER_ATTRIBUTES
-    if a not in WEATHER_CODE_ATTRIBUTES + ("metar",) + WEATHER_FLAG_ATTRIBUTES
-)
-
 
 _NONNEGATIVE_ATTRIBUTES = ("wspd", "wgust", "preciprate", "preciptotal",
                            "solarradiation", "uv", "vis", "precip")
@@ -331,9 +315,6 @@ class WeatherRecord:
             raise OutOfRangeError(f"wdire {self.wdire!r} is not a compass code")
 
 
-TRAFFIC_ATTRIBUTES = ("traveldist", "traveltime_std", "traveltime_curr")
-
-
 @dataclass(frozen=True)
 class TrafficRecord:
     """Travel distance and times over one route at one instant.
@@ -358,9 +339,6 @@ class TrafficRecord:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
                 raise OutOfRangeError(f"{name} must be a positive number, got {v!r}")
-
-
-CONTAMINANTS = ("pm10", "o3", "co", "so2", "no2", "pm25")
 
 
 @dataclass(frozen=True)
@@ -408,6 +386,21 @@ class PollutionRecord:
         if not cats:
             return None
         return max(cats, key=lambda c: c.severity)
+
+
+def _measures(record_type, declared: str | None = None) -> tuple[str, ...]:
+    # Fields after the keys (timestamp, location, weather zone), in column
+    # and payload key order; with `declared`, only those annotated so.
+    return tuple(f.name for f in fields(record_type)
+                 if f.name not in ("timestamp", "station", "route", "tz")
+                 and declared in (None, f.type))
+
+
+WEATHER_ATTRIBUTES = _measures(WeatherRecord)
+WEATHER_NUMERIC_ATTRIBUTES = _measures(WeatherRecord, "float | None")
+WEATHER_FLAG_ATTRIBUTES = _measures(WeatherRecord, "int | None")
+TRAFFIC_ATTRIBUTES = _measures(TrafficRecord)
+CONTAMINANTS = _measures(PollutionRecord)
 
 
 def enumerate_routes(points: Sequence[GeoPoint]) -> list[TrafficRoute]:

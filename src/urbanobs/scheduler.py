@@ -32,6 +32,7 @@ from .connectors import (
 from .errors import (
     ConfigError,
     Error,
+    OutOfRangeError,
     RecordRejected,
     ReferentialError,
     RunAborted,
@@ -264,7 +265,9 @@ class _DayRunner:
             except RecordRejected as exc:
                 summary.rejected += 1
                 summary.failures.append(str(exc))
-            except ReferentialError as exc:  # a code or location not catalogued
+            except (ReferentialError, OutOfRangeError) as exc:
+                # an uncatalogued code or location, or a value a rules
+                # file admits but the record type refuses
                 summary.rejected += 1
                 summary.failures.append(f"{raw.timestamp} {raw.target}: {exc}")
 

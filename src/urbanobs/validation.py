@@ -9,8 +9,9 @@ Rules live in a small text format, one rule per line::
 
     table.attribute min max
 
-with '-' for an unbounded side. Bounds are inclusive. Attributes
-without a rule are only checked for being numeric.
+with '-' for an unbounded side. Bounds are inclusive. A rule must name
+an attribute that validation range-checks; one without a rule is only
+checked for being numeric.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ _RANGE_CHECKED = {
     "traffics": (TRAFFIC_ATTRIBUTES, "numeric"),
     "pollutions": (CONTAMINANTS, f"integer {IMECA_MIN}..{IMECA_MAX}"),
 }
+_RULE_NAMES = {(t, a) for t, (attrs, _) in _RANGE_CHECKED.items() for a in attrs}
 
 
 class RuleSet:
@@ -152,6 +154,9 @@ class RuleSet:
             table, sep, attribute = name.partition(".")
             if not sep or not table or not attribute:
                 raise ConfigError(f"{origin}:{line_no}: bad rule name {name!r}")
+            if (table, attribute) not in _RULE_NAMES:
+                raise ConfigError(
+                    f"{origin}:{line_no}: {name} is not a range-checked attribute")
             try:
                 lo = None if lo_s == "-" else float(lo_s)
                 hi = None if hi_s == "-" else float(hi_s)
@@ -198,32 +203,29 @@ class ValidationReport:
         return not self.entries
 
 
-def _parse_timestamp(raw: RawReading) -> datetime:
+def _begin(raw: RawReading, kind: str) -> tuple[datetime, ValidationReport]:
+    """Check kind, then target, then timestamp; return (timestamp, empty report)."""
+    if raw.kind != kind:
+        raise PreconditionError(f"expected a {kind} reading, got {raw.kind!r}")
+    if not raw.target:
+        raise RecordRejected("candidate has no resolvable location",
+                             ValidationReport(key=f"{raw.timestamp} <missing>"))
+    report = ValidationReport(key=f"{raw.timestamp} {raw.target}")
     try:
-        return _parse_timestamp_text(raw.timestamp)
+        return _parse_timestamp_text(raw.timestamp), report
     except (TypeError, ValueError):
         raise RecordRejected(
-            f"unusable timestamp {raw.timestamp!r} for {raw.target}",
-            ValidationReport(key=f"{raw.timestamp} {raw.target}"))
-
-
-def _require_target(raw: RawReading) -> None:
-    if not raw.target:
-        raise RecordRejected(
-            "candidate has no resolvable location",
-            ValidationReport(key=f"{raw.timestamp} <missing>"))
+            f"unusable timestamp {raw.timestamp!r} for {raw.target}", report)
 
 
 def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, ValidationReport]:
     """Clean one weather candidate; bad fields become NA, never fatal.
 
-    Only a missing timestamp or location rejects the record.
+    Only a missing timestamp or location rejects the record. A value a
+    rules file admits past WeatherRecord's own limits raises
+    OutOfRangeError.
     """
-    if raw.kind != "weather":
-        raise PreconditionError(f"expected a weather reading, got {raw.kind!r}")
-    _require_target(raw)
-    ts = _parse_timestamp(raw)
-    report = ValidationReport(key=f"{raw.timestamp} {raw.target}")
+    ts, report = _begin(raw, "weather")
     values: dict[str, object] = {}
 
     for attr, lo, hi, rule_text in rules._ranges["weathers"]:
@@ -280,11 +282,7 @@ def validate_traffic(raw: RawReading, rules: RuleSet) -> tuple[TrafficRecord, Va
     Any missing, unparseable, or out-of-range measurement rejects the
     whole record (raises, with the report attached).
     """
-    if raw.kind != "traffic":
-        raise PreconditionError(f"expected a traffic reading, got {raw.kind!r}")
-    _require_target(raw)
-    ts = _parse_timestamp(raw)
-    report = ValidationReport(key=f"{raw.timestamp} {raw.target}")
+    ts, report = _begin(raw, "traffic")
     values: dict[str, float] = {}
     for attr, lo, hi, rule_text in rules._ranges["traffics"]:
         text = raw.fields.get(attr)
@@ -314,11 +312,7 @@ def validate_pollution(raw: RawReading, rules: RuleSet) -> tuple[PollutionRecord
     or out-of-scale cells become NA with a report entry. An hour of 00
     or 01, or a timestamp off the exact hour, rejects the record.
     """
-    if raw.kind != "pollution":
-        raise PreconditionError(f"expected a pollution reading, got {raw.kind!r}")
-    _require_target(raw)
-    ts = _parse_timestamp(raw)
-    report = ValidationReport(key=f"{raw.timestamp} {raw.target}")
+    ts, report = _begin(raw, "pollution")
     if ts.minute or ts.second:
         raise RecordRejected(
             f"pollution hour {raw.timestamp} is not an exact hour", report)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -331,6 +334,33 @@ class TestReport:
         assert code == 1
         assert err.startswith(f"error: {bad}: ") and "continued" in err.lower()
         assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that leaves early (`report | head -8`) is not an error
+    worth a traceback: the command exits 1 with nothing on stderr."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("command", [("report",), ("query", "pollutions",
+                                                       "--attrs", "pm10")])
+    def test_no_traceback(self, cfg_path, collected, command, unbuffered):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes anything
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "urbanobs.cli", command[0], "--config",
+                 str(cfg_path), "--store", str(collected), *command[1:]],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert child.stderr == b""
+        assert child.returncode == 1
 
 
 class TestExport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from datetime import datetime
 
 import pytest
@@ -13,12 +14,15 @@ from urbanobs.model import (
     ImecaCategory,
     PollutionRecord,
     TrafficRecord,
+    WEATHER_FLAG_ATTRIBUTES,
+    WEATHER_NUMERIC_ATTRIBUTES,
     WeatherRecord,
     classify_imeca,
     compass_point,
     enumerate_routes,
     haversine_m,
 )
+from urbanobs.validation import DEFAULT_RULES_TEXT
 
 
 class TestImeca:
@@ -210,6 +214,28 @@ class TestRecords:
                               station="sima_x", pm10=42, o3=180)
         assert rec.worst_category() is ImecaCategory.VERY_BAD
         assert set(CONTAMINANTS) == {"pm10", "o3", "co", "so2", "no2", "pm25"}
+
+
+class TestDerivedAttributes:
+    """The attribute tuples come from the record annotations; a field
+    written another way (say `Optional[float]`) would silently drop out
+    of range checking."""
+
+    MEASURES = tuple(f.name for f in dataclasses.fields(WeatherRecord)
+                     if f.name not in ("timestamp", "station", "tz"))
+
+    def test_each_weather_measure_in_exactly_one_group(self):
+        groups = (WEATHER_NUMERIC_ATTRIBUTES, WEATHER_FLAG_ATTRIBUTES,
+                  ("wdire", "cond", "icon", "metar"))
+        for name in self.MEASURES:
+            assert sum(name in g for g in groups) == 1, name
+        assert sorted(sum(groups, ())) == sorted(self.MEASURES)
+
+    def test_default_weather_rules_name_the_numeric_measures(self):
+        names = tuple(line.split()[0].partition(".")[2]
+                      for line in DEFAULT_RULES_TEXT.splitlines()
+                      if line.startswith("weathers."))
+        assert names == WEATHER_NUMERIC_ATTRIBUTES
 
 
 @given(st.integers(min_value=0, max_value=500))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 import sqlite3
 from contextlib import contextmanager
@@ -30,6 +31,7 @@ from urbanobs.scheduler import (
 from urbanobs.cli import bootstrap_store
 from urbanobs.storage import Store
 from urbanobs.synth import SynthSource
+from urbanobs.validation import RuleSet
 
 DAY = date(2016, 5, 16)
 
@@ -344,6 +346,44 @@ class TestRunDay:
         assert summary.rejected == 1
         assert summary.failures == [
             f"{bad['ts']} apt_one: unknown cond code 'Sandstorm' (table conds)"]
+
+    def test_value_a_wide_rule_admits_costs_only_its_record(self, tiny_cfg,
+                                                            tiny_store, plan):
+        # A rules file replaces the defaults, so it can admit a humidity
+        # that WeatherRecord refuses; the station's other readings stay.
+        class HumidSource(SynthSource):
+            def fetch_weather(self, meta, day, fetched_at=None):
+                p = super().fetch_weather(meta, day, fetched_at)
+                if meta.station.file_id != "apt_one":
+                    return p
+                body, n = re.subn(r"hum=\S+", "hum=120", p.body, count=1)
+                assert n == 1
+                return SourcePayload("weather", p.fetched_at, body, p.origin)
+
+        cfg = dataclasses.replace(tiny_cfg,
+                                  rules=RuleSet.from_text("weathers.hum 0 150\n"))
+        summary = run_day(plan, HumidSource(cfg.profile), tiny_store, cfg)
+        assert (summary.stored, summary.rejected) == (72 - 1 + 4 + 22, 1)
+        assert summary.failures == ["2016-05-15T00:00:00 apt_one: hum 120.0 outside 0..100"]
+        assert tiny_store.all_counts()["weathers"] == 72 - 1
+
+    def test_zero_traffic_measure_without_traffic_rules_is_rejected(
+            self, tiny_cfg, tiny_store, plan):
+        class StandstillSource(SynthSource):
+            def fetch_traffic(self, route, at):
+                p = super().fetch_traffic(route, at)
+                file_id, ts, _dist, t_std, t_curr = p.body.split()
+                return SourcePayload("traffic", p.fetched_at,
+                                     f"{file_id} {ts} 0 {t_std} {t_curr}\n", p.origin)
+
+        cfg = dataclasses.replace(tiny_cfg,
+                                  rules=RuleSet.from_text("weathers.temp -30 55\n"))
+        summary = run_day(plan, StandstillSource(cfg.profile), tiny_store, cfg)
+        assert (summary.stored, summary.rejected) == (72 + 22, 4)
+        assert len(summary.failures) == 4
+        assert all(f.endswith(": traveldist must be a positive number, got 0.0")
+                   for f in summary.failures)
+        assert tiny_store.all_counts()["traffics"] == 0
 
     def test_stale_catalog_fails_per_record(self, tiny_cfg, tiny_store, plan):
         route = tiny_cfg.routes[0].file_id

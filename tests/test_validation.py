@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from datetime import datetime
 
 import pytest
@@ -66,11 +67,11 @@ class TestRangeRule:
 
 class TestRuleSet:
     def test_from_text(self):
-        rs = RuleSet.from_text("# comment\n\nweathers.temp -30 55\nt.a - -\n")
+        rs = RuleSet.from_text("# comment\n\nweathers.temp -30 55\ntraffics.traveldist - -\n")
         assert len(rs) == 2
         rule = rs.rule_for("weathers", "temp")
         assert rule.min == -30 and rule.max == 55
-        unbounded = rs.rule_for("t", "a")
+        unbounded = rs.rule_for("traffics", "traveldist")
         assert unbounded.min is None and unbounded.max is None
 
     def test_defaults_cover_every_validated_attribute(self):
@@ -99,11 +100,17 @@ class TestRuleSet:
 
     def test_duplicate_rule_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            RuleSet.from_text("t.a 0 1\nt.a 0 2\n")
+            RuleSet.from_text("traffics.traveldist 0 1\ntraffics.traveldist 0 2\n")
+
+    @pytest.mark.parametrize("name", ["weathers.tmep", "weather.hum", "weathers.fog"])
+    def test_rule_for_unchecked_attribute_rejected(self, name):
+        with pytest.raises(ConfigError, match=rf"^custom\.rules:2: {re.escape(name)} "
+                                              r"is not a range-checked attribute$"):
+            RuleSet.from_text(f"weathers.temp -30 55\n{name} 0 1\n", origin="custom.rules")
 
     def test_error_names_origin_and_line(self):
         with pytest.raises(ConfigError, match=r"custom\.rules:2"):
-            RuleSet.from_text("t.a 0 1\nbroken\n", origin="custom.rules")
+            RuleSet.from_text("traffics.traveldist 0 1\nbroken\n", origin="custom.rules")
 
 
 class TestValidateWeather:
