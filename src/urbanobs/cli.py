@@ -6,7 +6,10 @@ stdout or CSV), ``report`` (per-attribute accounting), ``export``
 (full-table CSV dump). Every command exits nonzero when an error
 contract fires and prints the diagnostic on stderr. Only ``init``
 creates a store; the other commands refuse a store path that does not
-exist.
+exist. The read commands (``query``, ``report``, ``export``) read a
+config only when ``--store`` is absent or ``--config`` is named; the
+store path is ``--store``, else ``$URBANOBS_STORE``, else the config's
+``[store] path``, else ``urbanobs.db``.
 
 ``main`` builds only the parser of the command it runs: one table,
 ``_COMMANDS``, gives each command's help, handler and arguments, and
@@ -54,6 +57,17 @@ def _load_config(args) -> config_mod.Config:
     return cfg
 
 
+def _store_path(args) -> str:
+    """The store a read command opens.
+
+    ``--store`` wins over every config, so the config is built only to
+    find the path, or to check a ``--config`` file the operator named.
+    """
+    if args.store and not args.config:
+        return args.store
+    return _load_config(args).store_path
+
+
 def _parse_when(text: str, end_of_day: bool) -> datetime:
     for fmt in (DB_TIMESTAMP_FMT, "%Y-%m-%dT%H:%M:%S"):
         try:
@@ -67,11 +81,11 @@ def _parse_when(text: str, end_of_day: bool) -> datetime:
                             time(23, 59, 59) if end_of_day else time(0, 0))
 
 
-def _existing_store(cfg: config_mod.Config) -> str:
+def _existing_store(path: str) -> str:
     """The store path, which must exist: only ``init`` creates a store."""
-    if not Path(cfg.store_path).exists():
-        raise Error(f"store at {cfg.store_path} does not exist; run init first")
-    return cfg.store_path
+    if not Path(path).exists():
+        raise Error(f"store at {path} does not exist; run init first")
+    return path
 
 
 def _resolve_locations(store: Store, table: str, spec: str | None) -> list[int]:
@@ -97,19 +111,28 @@ def _resolve_locations(store: Store, table: str, spec: str | None) -> list[int]:
     return out
 
 
+def _catalog_entries(cfg: config_mod.Config) -> dict[str, tuple]:
+    """Each location catalog's table and the entries the config gives it."""
+    return {"locations_w": tuple(meta.station for meta in cfg.weather_stations),
+            "locations_t": cfg.routes,
+            "locations_p": cfg.pollution_stations}
+
+
 def bootstrap_store(store: Store, cfg: config_mod.Config) -> dict:
-    """Create the schema and load every catalog the config describes."""
-    catalog = store.init_schema()
-    for meta in cfg.weather_stations:
-        store.upsert_location(meta.station)
-    for route in cfg.routes:
-        store.upsert_location(route)
-    for station in cfg.pollution_stations:
-        store.upsert_location(station)
-    store.seed_lookup("time_zones", cfg.time_zones)
-    store.seed_lookup("conds", cfg.conds)
-    store.seed_lookup("icons", cfg.icons)
-    store.seed_lookup("wdires", cfg.wdires)
+    """Create the schema and load every catalog the config describes.
+
+    All of it is one transaction: a store is initialized whole or not
+    at all.
+    """
+    with store.deferred():
+        catalog = store.init_schema()
+        for entries in _catalog_entries(cfg).values():
+            for entry in entries:
+                store.upsert_location(entry)
+        store.seed_lookup("time_zones", cfg.time_zones)
+        store.seed_lookup("conds", cfg.conds)
+        store.seed_lookup("icons", cfg.icons)
+        store.seed_lookup("wdires", cfg.wdires)
     return catalog
 
 
@@ -144,8 +167,9 @@ def cmd_run(args) -> int:
     else:
         start = date.today()
     source = _make_source(cfg, args.source)
-    with Store(_existing_store(cfg)) as store:
-        if not store.location_ids("locations_w") and cfg.weather_stations:
+    with Store(_existing_store(cfg.store_path)) as store:
+        if any(entries and not store.location_ids(table)
+               for table, entries in _catalog_entries(cfg).items()):
             raise Error(f"store {cfg.store_path} has no catalogs; run init first")
         for i in range(args.days):
             day = start + timedelta(days=i)
@@ -171,9 +195,9 @@ def _print_rows(result) -> None:
 
 
 def _run_query(args, attrs: list[str] | None) -> int:
-    cfg = _load_config(args)
+    path = _store_path(args)
     table = resolve_table(args.table)
-    with Store(_existing_store(cfg)) as store:
+    with Store(_existing_store(path)) as store:
         locs = _resolve_locations(store, table, args.loc)
         start = _parse_when(args.start, False) if args.start else _ALL_TIME_START
         end = _parse_when(args.end, True) if args.end else _ALL_TIME_END
@@ -199,8 +223,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args)
-    with Store(_existing_store(cfg)) as store:
+    with Store(_existing_store(_store_path(args))) as store:
         rows = store.summarize_nonempty()
     width = max(len(r.column) for r in rows)
     current = None

@@ -281,7 +281,13 @@ def _parse_synth(items: dict) -> SynthProfile:
     return SynthProfile(**kwargs)
 
 
-def _parse_rules(items: dict, base_dir: Path) -> RuleSet:
+def _parse_rules(items: dict, base_dir: Path | None) -> RuleSet:
+    """The rules a ``[rules] file`` names, else the defaults.
+
+    A relative path is read from ``base_dir``, or, when that is None
+    (the packaged config), from the working directory, which is looked
+    up only then.
+    """
     unknown = sorted(items.keys() - {"file"})
     if unknown:
         raise ConfigError(f"unknown rules settings: {', '.join(unknown)}")
@@ -290,13 +296,13 @@ def _parse_rules(items: dict, base_dir: Path) -> RuleSet:
         return RuleSet.defaults()
     path = Path(path_s)
     if not path.is_absolute():
-        path = base_dir / path
+        path = (Path.cwd() if base_dir is None else base_dir) / path
     if not path.is_file():
         raise ConfigError(f"rules file not found: {path}")
     return RuleSet.from_text(path.read_text(), origin=str(path))
 
 
-def _build(sections: _Sections, base_dir: Path) -> Config:
+def _build(sections: _Sections, base_dir: Path | None) -> Config:
     for section in ("points", "weather_stations", "pollution_stations"):
         if section not in sections:
             raise ConfigError(f"config is missing the [{section}] section")
@@ -367,4 +373,4 @@ def default_config_text() -> str:
 
 
 def load_default() -> Config:
-    return _build(_sections(default_config_text(), "<default config>"), Path.cwd())
+    return _build(_sections(default_config_text(), "<default config>"), None)

@@ -366,9 +366,14 @@ class Store:
         Returns the catalog of the ten managed tables with their
         columns. A managed table that exists with a different column
         set raises MigrationRequired; unrelated extra tables are
-        ignored.
+        ignored. The tables are created in one transaction, which an
+        enclosing ``deferred()`` extends.
         """
-        with self._conn:
+        with self.deferred():
+            # sqlite3 opens no transaction before DDL, so without this
+            # BEGIN each CREATE would commit on its own.
+            if not self._conn.in_transaction:
+                self._conn.execute("BEGIN")
             for name, sql in _SCHEMA.items():
                 row = self._conn.execute(
                     "SELECT name FROM sqlite_master WHERE type='table' AND name=?",

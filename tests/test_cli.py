@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from urbanobs import cli as cli_mod, config as config_mod
 from urbanobs.cli import main
 from urbanobs.config import STORE_ENV_VAR
-from urbanobs.errors import RunAborted
+from urbanobs.errors import RunAborted, StorageUnavailable
 from urbanobs.storage import (
     QueryResult,
     Store,
@@ -91,12 +92,34 @@ class TestInit:
         assert code == 1
         assert "error:" in err and "duplicate" in err and "alpha" in err
 
+    def test_failed_init_leaves_no_tables(self, cli, db_path, monkeypatch):
+        def fail(self, table, entries):
+            if table == "wdires":
+                raise StorageUnavailable("disk full")
+        monkeypatch.setattr(Store, "seed_lookup", fail)
+        _, err = cli("init", expect=1)
+        assert err == "error: disk full\n"
+        with Store(db_path) as s:
+            assert s._conn.execute("SELECT name FROM sqlite_master").fetchall() == []
+
 
 class TestRun:
     def test_requires_init(self, cli):
         _, err = cli("run", "--days", "1", "--start", DAY.isoformat(),
                      expect=1)
         assert "run init first" in err
+
+    def test_store_missing_catalogs_refused(self, cli, db_path, tiny_cfg):
+        with Store(db_path) as s:
+            s.init_schema()
+            for meta in tiny_cfg.weather_stations:
+                s.upsert_location(meta.station)
+        out, err = cli("run", "--days", "1", "--start", DAY.isoformat(),
+                       expect=1)
+        assert out == ""
+        assert err == f"error: store {db_path} has no catalogs; run init first\n"
+        with Store(db_path) as s:
+            assert s.record_count("weathers") == 0
 
     def test_one_day_summary(self, cli, initialized):
         out, _ = cli("run", "--days", "1", "--start", DAY.isoformat())
@@ -398,6 +421,110 @@ class TestStorePrecedence:
         capsys.readouterr()
         assert code == 0
         assert env_db.exists()
+
+
+def _old_store_path(args) -> str:
+    """Store path resolution as it was before read commands skipped the config."""
+    if args.config:
+        cfg = config_mod.load_config(args.config)
+    else:
+        cfg = config_mod.load_default()
+    if getattr(args, "store", None):
+        cfg = cfg.with_store_path(args.store)
+    return cfg.store_path
+
+
+class TestReadCommandStorePath:
+    """query, report and export take --store without building a config."""
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "weathers", "--attrs", "temp"],
+        ["report"],
+        ["export", "traffics", "--csv", "out.csv"]])
+    def test_store_flag_builds_no_config(self, argv, collected, monkeypatch,
+                                         tmp_path, capsys):
+        def no_config(*args):
+            raise AssertionError("config built")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(config_mod, "_build", no_config)
+        assert main([*argv, "--store", str(collected)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["query", "report", "export"])
+    def test_named_broken_config_still_fails(self, command, collected,
+                                             tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG_TEXT.replace(
+            "[points]", "[points]\nalpha = 1.0 2.0 dup"))
+        extra = {"query": ["weathers", "--attrs", "temp"], "report": [],
+                 "export": ["weathers", "--csv", str(tmp_path / "out.csv")]}
+        code = main([command, *extra[command], "--config", str(bad),
+                     "--store", str(collected)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == (f"error: {bad}: duplicate entry 'alpha' in [points] "
+                       f"(duplicate point name)\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_matrix_matches_old_resolution(self, tmp_path, monkeypatch, capsys):
+        """Every store source, for every command that opens a store."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG_TEXT)
+        # flag.db and env.db hold different days; the config's tiny.db is
+        # only initialized; the default's urbanobs.db does not exist.
+        for name, days in (("flag.db", ["--days", "1"]),
+                           ("env.db", ["--days", "2"]), ("tiny.db", None)):
+            assert main(["init", "--config", "tiny.cfg", "--store", name]) == 0
+            if days:
+                assert main(["run", "--config", "tiny.cfg", "--store", name,
+                             *days, "--start", DAY.isoformat()]) == 0
+        capsys.readouterr()
+        commands = {"run": ["run", "--days", "0"],
+                    "query": ["query", "traffics", "--attrs", "traveldist"],
+                    "report": ["report"],
+                    "export": ["export", "weathers", "--csv", "out.csv"]}
+        stores = [[], ["--store", "flag.db"], ["--store", ""],
+                  ["--store", "missing.db"]]
+        seen = set()
+        for argv in commands.values():
+            for store in stores:
+                for env in (None, "env.db"):
+                    for config in ([], ["--config", "tiny.cfg"]):
+                        results = []
+                        for resolve in (cli_mod._store_path, _old_store_path):
+                            with monkeypatch.context() as m:
+                                if env is None:
+                                    m.delenv(STORE_ENV_VAR, raising=False)
+                                else:
+                                    m.setenv(STORE_ENV_VAR, env)
+                                m.setattr(cli_mod, "_store_path", resolve)
+                                code = main([*argv, *store, *config])
+                            out, err = capsys.readouterr()
+                            dest = Path("out.csv")
+                            results.append((code, out, err, dest.exists()
+                                            and dest.read_bytes()))
+                            dest.unlink(missing_ok=True)
+                        assert results[0] == results[1], (argv, store, env, config)
+                        seen.add(results[0][:3])
+        # The cases reach different stores and both outcomes.
+        assert {code for code, _, _ in seen} == {0, 1}
+        assert len(seen) > 8
+
+
+class TestRemovedWorkingDirectory:
+    def test_init_and_run_with_absolute_store(self, tmp_path, monkeypatch,
+                                              capsys):
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        db = str(tmp_path / "obs.db")
+        assert main(["init", "--store", db]) == 0
+        assert main(["run", "--days", "1", "--start", DAY.isoformat(),
+                     "--store", db]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-1].startswith("day 2016-05-16: fired=2438")
 
 
 class TestMissingStore:

@@ -30,7 +30,12 @@ from urbanobs.errors import (
     PreconditionError,
     SourceError,
 )
-from urbanobs.model import CONTAMINANTS, PollutionStation, TrafficRoute
+from urbanobs.model import (
+    CONTAMINANTS,
+    TRAFFIC_ATTRIBUTES,
+    PollutionStation,
+    TrafficRoute,
+)
 from urbanobs.scheduler import TRAFFIC_POLL, build_plan
 from urbanobs.synth import gen_traffic_response
 from urbanobs.validation import RuleSet, validate_pollution
@@ -146,6 +151,10 @@ class TestTrafficParsing:
         assert raw.target == want["route"]
         assert raw.timestamp == want["timestamp"]
         assert dict(raw.fields) == want["fields"]
+
+    def test_field_keys_are_traffic_attributes_in_order(self):
+        raw = parse_traffic_response(_payload("traffic", "traffic_single.txt"), ROUTE)
+        assert tuple(raw.fields) == TRAFFIC_ATTRIBUTES
 
     def test_serialize_round_trip(self):
         body = (FIXTURES / "traffic_single.txt").read_text()
