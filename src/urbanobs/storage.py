@@ -4,8 +4,11 @@ Ten tables: three record tables (weathers, traffics, pollutions),
 three location catalogs (locations_w, locations_t, locations_p) and
 four code tables (time_zones, wdires, conds, icons). Record rows point
 at locations and codes through enforced foreign keys; the natural key
-(timestamp, location) is unique per record table, which is what makes
-inserts idempotent.
+(location, timestamp) is unique per record table, which is what makes
+inserts idempotent. Its index leads with the location, so a query or
+export reads one index range per location, already in (location,
+timestamp) order, and sorts nothing. A store created with the older
+(timestamp, location) key keeps it and answers the same, only slower.
 
 Timestamps are stored as naive local text 'YYYY-MM-DD HH:MM:SS' next
 to a time-zone code reference, so lexicographic order is chronological
@@ -150,7 +153,7 @@ _SCHEMA = {
             tornado        INTEGER,
             metar          TEXT,
             id_locations_w INTEGER NOT NULL REFERENCES locations_w(id_locations_w),
-            UNIQUE (timestamp_w, id_locations_w)
+            UNIQUE (id_locations_w, timestamp_w)
         )""",
     "traffics": """
         CREATE TABLE traffics (
@@ -160,7 +163,7 @@ _SCHEMA = {
             traveltime_std  REAL NOT NULL,
             traveltime_curr REAL NOT NULL,
             id_locations_t  INTEGER NOT NULL REFERENCES locations_t(id_locations_t),
-            UNIQUE (timestamp_t, id_locations_t)
+            UNIQUE (id_locations_t, timestamp_t)
         )""",
     "pollutions": """
         CREATE TABLE pollutions (
@@ -173,7 +176,7 @@ _SCHEMA = {
             no2            INTEGER,
             pm25           INTEGER,
             id_locations_p INTEGER NOT NULL REFERENCES locations_p(id_locations_p),
-            UNIQUE (timestamp_p, id_locations_p)
+            UNIQUE (id_locations_p, timestamp_p)
         )""",
 }
 
@@ -289,13 +292,15 @@ def queryable_attributes(table: str) -> tuple[str, ...]:
     return tuple(_ATTRS[table])
 
 
-# One statement per record: a row whose (timestamp, location) is already
+# One statement per record: a row whose (location, timestamp) is already
 # stored is skipped, so re-runs never overwrite stored data. Parameters
-# follow the table's columns after the surrogate id.
+# follow the table's columns after the surrogate id. SQLite matches the
+# conflict target as a set, so it also names an older store's
+# (timestamp, location) key.
 _INSERT_SQL = {
     t: (f"INSERT INTO {t} ({', '.join(TABLE_COLUMNS[t][1:])}) "
         f"VALUES ({', '.join('?' * (len(TABLE_COLUMNS[t]) - 1))}) "
-        f"ON CONFLICT({TABLE_COLUMNS[t][1]}, {TABLE_COLUMNS[t][-1]}) DO NOTHING")
+        f"ON CONFLICT({TABLE_COLUMNS[t][-1]}, {TABLE_COLUMNS[t][1]}) DO NOTHING")
     for t in RECORD_TABLES
 }
 
@@ -373,15 +378,15 @@ class Store:
             # sqlite3 opens no transaction before DDL, so without this
             # BEGIN each CREATE would commit on its own.
             if not self._conn.in_transaction:
-                self._conn.execute("BEGIN")
+                self._execute("BEGIN")
             for name, sql in _SCHEMA.items():
-                row = self._conn.execute(
+                row = self._execute(
                     "SELECT name FROM sqlite_master WHERE type='table' AND name=?",
                     (name,)).fetchone()
                 if row is None:
-                    self._conn.execute(sql)
+                    self._execute(sql)
                     continue
-                have = tuple(r[1] for r in self._conn.execute(
+                have = tuple(r[1] for r in self._execute(
                     f"PRAGMA table_info({name})"))
                 if have != TABLE_COLUMNS[name]:
                     raise MigrationRequired(
@@ -489,7 +494,7 @@ class Store:
     def insert_record(self, rec: WeatherRecord | TrafficRecord | PollutionRecord) -> str:
         """Insert one cleaned record; returns 'inserted' or 'duplicate'.
 
-        A row with the same (timestamp, location) already present makes
+        A row with the same (location, timestamp) already present makes
         the call a no-op; stored data is never overwritten by re-runs.
         The location resolves first, then each code in column order.
         """

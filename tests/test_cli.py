@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import sqlite3
 import subprocess
 import sys
 from datetime import date, datetime, timedelta
@@ -91,6 +92,22 @@ class TestInit:
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and "duplicate" in err and "alpha" in err
+
+    def test_locked_store_is_an_error(self, cli, db_path, monkeypatch):
+        class NoWaitStore(Store):
+            def __init__(self, path):
+                super().__init__(path)
+                # Fail at once rather than after sqlite3's 5 s default wait.
+                self._conn.execute("PRAGMA busy_timeout = 0")
+
+        monkeypatch.setattr(cli_mod, "Store", NoWaitStore)
+        holder = sqlite3.connect(db_path, isolation_level=None)
+        try:
+            holder.execute("BEGIN EXCLUSIVE")
+            out, err = cli("init", expect=1)
+        finally:
+            holder.close()
+        assert (out, err) == ("", "error: database is locked\n")
 
     def test_failed_init_leaves_no_tables(self, cli, db_path, monkeypatch):
         def fail(self, table, entries):

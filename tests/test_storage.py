@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import sqlite3
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
 
-from urbanobs.cli import bootstrap_store
+from urbanobs.cli import bootstrap_store, main
 from urbanobs.errors import (
     MigrationRequired,
     QueryError,
@@ -24,7 +24,9 @@ from urbanobs.model import (
     WeatherRecord,
     WeatherStation,
 )
+from urbanobs.scheduler import build_plan, run_day
 from urbanobs.storage import (
+    LOCATION_CATALOG,
     RECORD_TABLES,
     REPORT_COLUMNS,
     TABLE_COLUMNS,
@@ -35,6 +37,7 @@ from urbanobs.storage import (
     queryable_attributes,
     resolve_table,
 )
+from urbanobs.synth import SynthSource
 
 T0 = datetime(2016, 5, 16, 8, 0)
 
@@ -96,6 +99,19 @@ class TestSchema:
         with Store(path) as s:
             s.init_schema()
             assert s.record_count("weathers") == 0
+
+    def test_init_on_locked_store_is_unavailable(self, tmp_path):
+        path = tmp_path / "locked.db"
+        holder = sqlite3.connect(path, isolation_level=None)
+        try:
+            holder.execute("BEGIN EXCLUSIVE")
+            with Store(path) as s:
+                # Fail at once rather than after sqlite3's 5 s default wait.
+                s._conn.execute("PRAGMA busy_timeout = 0")
+                with pytest.raises(StorageUnavailable, match="locked"):
+                    s.init_schema()
+        finally:
+            holder.close()
 
     def test_uninitialized_store_says_run_init(self):
         with Store(":memory:") as s:
@@ -413,6 +429,59 @@ class TestQueries:
         assert queryable_attributes("pollutions") == CONTAMINANTS
 
 
+def _natural_key_index(conn, table: str) -> str:
+    """The name of the index SQLite made for a table's UNIQUE clause."""
+    (name,) = [r[1] for r in conn.execute(f"PRAGMA index_list({table})")
+               if r[3] == "u"]
+    return name
+
+
+class TestQueryPlan:
+    """A query or export reads one natural-key index range per location,
+    already in output order: SQLite sorts nothing."""
+
+    @pytest.fixture()
+    def path(self, tmp_path, default_cfg):
+        path = tmp_path / "plan.db"
+        with Store(path) as s:
+            bootstrap_store(s, default_cfg)
+        return path
+
+    @pytest.mark.parametrize("table", RECORD_TABLES)
+    def test_one_index_range_per_location_and_no_sort(
+            self, path, tmp_path, monkeypatch, table):
+        seen = []
+        execute = Store._execute
+
+        def recording(self, sql, args=()):
+            if f" FROM {table} t " in sql:
+                seen.append((sql, args))
+            return execute(self, sql, args)
+
+        monkeypatch.setattr(Store, "_execute", recording)
+        with Store(path) as s:
+            ids = sorted(s.location_ids(LOCATION_CATALOG[table]).values())
+            attrs = queryable_attributes(table)
+            for locs in (ids[:1], ids[:3]):
+                s.query_attribute(table, attrs, locs, T0, T0 + timedelta(days=2))
+        assert main(["export", table, "--store", str(path),
+                     "--csv", str(tmp_path / "all.csv")]) == 0
+        assert len(seen) == 3
+        # The export reads every location of the table.
+        assert f"IN ({', '.join('?' * len(ids))})" in seen[-1][0]
+
+        ts_col, loc_col = TABLE_COLUMNS[table][1], TABLE_COLUMNS[table][-1]
+        with Store(path) as s:
+            index = _natural_key_index(s._conn, table)
+            for sql, args in seen:
+                plan = [r[-1] for r in
+                        s._conn.execute("EXPLAIN QUERY PLAN " + sql, args)]
+                assert any(f"{index} ({loc_col}=? AND {ts_col}>" in step
+                           for step in plan), plan
+                assert not any("USE TEMP B-TREE FOR ORDER BY" in step
+                               for step in plan), plan
+
+
 class TestSummary:
     def test_counts_match_brute_force(self, tiny_store):
         # spread records over two calendar months with known NA holes
@@ -531,3 +600,146 @@ class TestCsv:
         row = back.rows[0]
         assert row[2] == 45 and isinstance(row[2], int)
         assert row[3] is None
+
+
+# The record tables as stores created before the natural key led with
+# the location declare them: UNIQUE (timestamp, location).
+_TIMESTAMP_FIRST_DDL = {
+    "weathers": """
+        CREATE TABLE weathers (
+            id_weather     INTEGER PRIMARY KEY,
+            timestamp_w    TEXT NOT NULL,
+            id_time_zone   INTEGER REFERENCES time_zones(id_time_zone),
+            temp           REAL,
+            dewpt          REAL,
+            hum            REAL,
+            wspd           REAL,
+            wgust          REAL,
+            wdird          REAL,
+            id_wdire       INTEGER REFERENCES wdires(id_wdire),
+            pressure       REAL,
+            windchill      REAL,
+            heatindex      REAL,
+            preciprate     REAL,
+            preciptotal    REAL,
+            solarradiation REAL,
+            uv             REAL,
+            vis            REAL,
+            precip         REAL,
+            id_cond        INTEGER REFERENCES conds(id_cond),
+            id_icon        INTEGER REFERENCES icons(id_icon),
+            fog            INTEGER,
+            rain           INTEGER,
+            snow           INTEGER,
+            hail           INTEGER,
+            thunder        INTEGER,
+            tornado        INTEGER,
+            metar          TEXT,
+            id_locations_w INTEGER NOT NULL REFERENCES locations_w(id_locations_w),
+            UNIQUE (timestamp_w, id_locations_w)
+        )""",
+    "traffics": """
+        CREATE TABLE traffics (
+            id_traffic      INTEGER PRIMARY KEY,
+            timestamp_t     TEXT NOT NULL,
+            traveldist      REAL NOT NULL,
+            traveltime_std  REAL NOT NULL,
+            traveltime_curr REAL NOT NULL,
+            id_locations_t  INTEGER NOT NULL REFERENCES locations_t(id_locations_t),
+            UNIQUE (timestamp_t, id_locations_t)
+        )""",
+    "pollutions": """
+        CREATE TABLE pollutions (
+            id_pollution   INTEGER PRIMARY KEY,
+            timestamp_p    TEXT NOT NULL,
+            pm10           INTEGER,
+            o3             INTEGER,
+            co             INTEGER,
+            so2            INTEGER,
+            no2            INTEGER,
+            pm25           INTEGER,
+            id_locations_p INTEGER NOT NULL REFERENCES locations_p(id_locations_p),
+            UNIQUE (timestamp_p, id_locations_p)
+        )""",
+}
+
+
+def _key_columns(conn, table: str) -> list[str]:
+    index = _natural_key_index(conn, table)
+    return [r[2] for r in conn.execute(f"PRAGMA index_info({index})")]
+
+
+class TestTimestampFirstStore:
+    """A store created with the (timestamp, location) key opens without
+    a migration, keeps its key, answers byte for byte what a new store
+    answers and counts the same duplicates on a replay."""
+
+    DAY = date(2016, 5, 16)
+
+    @staticmethod
+    def _record_ddl(path) -> dict[str, str]:
+        conn = sqlite3.connect(path)
+        try:
+            return {t: conn.execute("SELECT sql FROM sqlite_master WHERE name = ?",
+                                    (t,)).fetchone()[0]
+                    for t in RECORD_TABLES}
+        finally:
+            conn.close()
+
+    def _collect(self, path, cfg) -> list:
+        """init, then the day and its replay; the two day summaries."""
+        plan = build_plan(cfg.windows, cfg.routes, self.DAY)
+        with Store(path) as s:
+            bootstrap_store(s, cfg)
+            return [run_day(plan, SynthSource(cfg.profile), s, cfg)
+                    for _ in range(2)]
+
+    @staticmethod
+    def _answers(path, out_dir, capsys) -> list:
+        """stdout of a set of read commands, and the CSV files they wrote."""
+        commands = [
+            ["query", "weathers", "--attrs", "temp,wdire,cond,metar",
+             "--from", "2016-05-16 06:00:00", "--to", "2016-05-16 20:00:00"],
+            ["query", "traffics", "--attrs", "traveltime_curr", "--loc", "2,1"],
+            ["query", "pollutions", "--attrs", "pm10,o3", "--loc", "sima_test",
+             "--to", "2016-05-16"],
+            ["report"],
+            *(["export", t, "--csv", str(out_dir / f"{t}.csv")]
+              for t in RECORD_TABLES),
+        ]
+        got = []
+        for argv in commands:
+            assert main([*argv, "--store", str(path)]) == 0
+            got.append(capsys.readouterr().out.replace(str(out_dir), "DIR"))
+        got += [(out_dir / f"{t}.csv").read_bytes() for t in RECORD_TABLES]
+        return got
+
+    def test_same_answers_as_a_new_store(self, tmp_path, tiny_cfg, capsys):
+        old, new = tmp_path / "old.db", tmp_path / "new.db"
+        conn = sqlite3.connect(old)
+        for sql in _TIMESTAMP_FIRST_DDL.values():
+            conn.execute(sql)
+        conn.commit()
+        conn.close()
+        created = self._record_ddl(old)
+        old_days = self._collect(old, tiny_cfg)  # init raises no MigrationRequired
+        new_days = self._collect(new, tiny_cfg)
+
+        assert self._record_ddl(old) == created
+        with Store(old) as s_old, Store(new) as s_new:
+            for t in RECORD_TABLES:
+                ts_col, loc_col = TABLE_COLUMNS[t][1], TABLE_COLUMNS[t][-1]
+                assert _key_columns(s_old._conn, t) == [ts_col, loc_col]
+                assert _key_columns(s_new._conn, t) == [loc_col, ts_col]
+            assert s_old.all_counts() == s_new.all_counts()
+
+        fresh, replay = old_days
+        assert [d.line() for d in old_days] == [d.line() for d in new_days]
+        assert fresh.stored > 0 and fresh.failures == []
+        assert replay.stored == 0 and replay.duplicates == fresh.stored
+
+        old_out, new_out = tmp_path / "old_out", tmp_path / "new_out"
+        old_out.mkdir()
+        new_out.mkdir()
+        assert (self._answers(old, old_out, capsys)
+                == self._answers(new, new_out, capsys))
