@@ -17,12 +17,8 @@ Values never interpolate; '=' is the only key separator so window and
 time tokens may contain ':'. The ``URBANOBS_STORE`` environment
 variable overrides the configured store path.
 
-A file of plain lines (blank lines, ``#`` comments, ``[name]`` headers
-and ``key = value`` or bare ``key`` lines starting in column 0, no
-``[DEFAULT]``, nothing repeated) is read in one pass. Any other file is
-read by ``configparser`` with the settings in ``_parser()``, which gives
-the same sections for a plain file and stays the reference for every
-other one, error texts included.
+Every file is read by ``configparser`` with the settings in
+``_sections()``, and a syntax error keeps configparser's text.
 """
 
 from __future__ import annotations
@@ -104,7 +100,7 @@ class Config:
 _Sections = dict[str, dict[str, "str | None"]]
 
 
-def _parser() -> configparser.ConfigParser:
+def _sections(text: str, origin: str) -> _Sections:
     cp = configparser.ConfigParser(
         delimiters=("=",),
         allow_no_value=True,
@@ -114,48 +110,18 @@ def _parser() -> configparser.ConfigParser:
     )
     # Option names are codes and file ids; case matters.
     cp.optionxform = str
-    return cp
-
-
-def _read_plain(text: str) -> _Sections | None:
-    """``{section: {key: value or None}}`` for a file of plain lines.
-
-    Returns None for any line configparser might read otherwise: an
-    indented content line (it can continue a value), a [DEFAULT] section
-    (its keys join every section), a repeated section or key, a key
-    before the first header or an empty key (errors there), and a header
-    with text after its ']' (configparser ignores that text).
-    """
-    sections: _Sections = {}
-    section = None
-    for line in text.split("\n"):
-        stripped = line.strip()
-        if not stripped or stripped[0] == "#":
-            continue
-        if line[0].isspace():
-            return None
-        if stripped[0] == "[":
-            name = stripped[1:-1]
-            if (stripped[-1] != "]" or not name or name == "DEFAULT"
-                    or name in sections):
-                return None
-            section = sections[name] = {}
-            continue
-        key, sep, value = stripped.partition("=")
-        key = key.rstrip()
-        if section is None or not key or key in section:
-            return None
-        section[key] = value.strip() if sep else None
-    return sections
-
-
-def _sections(text: str, origin: str) -> _Sections:
-    sections = _read_plain(text)
-    if sections is None:
-        cp = _parser()
-        _read(cp, text, origin)
-        sections = {s: dict(cp.items(s)) for s in cp.sections()}
-    return sections
+    try:
+        cp.read_string(text, source=origin)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(
+            f"{origin}: duplicate entry {exc.option!r} in [{exc.section}]"
+            + (" (duplicate point name)" if exc.section == "points" else ""))
+    except configparser.Error as exc:
+        raise ConfigError(f"{origin}: {exc}")
+    except AttributeError:
+        # configparser before 3.13 raises this for an indented line after a bare key.
+        raise ConfigError(f"{origin}: key without value continued by an indented line")
+    return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
 def _floats(pair: str, what: str) -> float:
@@ -165,19 +131,19 @@ def _floats(pair: str, what: str) -> float:
         raise ConfigError(f"{what}: expected a number, got {pair!r}")
 
 
+def _place(noun: str, key: str, value: str | None) -> tuple[float, float, str]:
+    """``(lat, long, description)`` from a ``lat long description`` line."""
+    parts = (value or "").split(maxsplit=2)
+    if len(parts) < 2:
+        raise ConfigError(f"{noun} {key!r}: expected 'lat long description'")
+    where = f"{noun} {key}"
+    return (_floats(parts[0], where), _floats(parts[1], where),
+            parts[2] if len(parts) > 2 else "")
+
+
 def _parse_points(items: dict) -> tuple[GeoPoint, ...]:
-    points = []
-    for name, value in items.items():
-        if value is None:
-            raise ConfigError(f"point {name!r}: expected 'lat long description'")
-        parts = value.split(maxsplit=2)
-        if len(parts) < 2:
-            raise ConfigError(f"point {name!r}: expected 'lat long description'")
-        lat = _floats(parts[0], f"point {name}")
-        long = _floats(parts[1], f"point {name}")
-        desc = parts[2] if len(parts) > 2 else ""
-        points.append(GeoPoint(name=name, lat=lat, long=long, description=desc))
-    return tuple(points)
+    return tuple(GeoPoint(name, *_place("point", name, value))
+                 for name, value in items.items())
 
 
 def _parse_weather_stations(items: dict) -> tuple[StationMeta, ...]:
@@ -209,18 +175,8 @@ def _parse_weather_stations(items: dict) -> tuple[StationMeta, ...]:
 
 
 def _parse_pollution_stations(items: dict) -> tuple[PollutionStation, ...]:
-    out = []
-    for file_id, value in items.items():
-        parts = (value or "").split(maxsplit=2)
-        if len(parts) < 2:
-            raise ConfigError(
-                f"pollution station {file_id!r}: expected 'lat long description'")
-        out.append(PollutionStation(
-            file_id=file_id,
-            lat=_floats(parts[0], f"pollution station {file_id}"),
-            long=_floats(parts[1], f"pollution station {file_id}"),
-            description=parts[2] if len(parts) > 2 else ""))
-    return tuple(out)
+    return tuple(PollutionStation(key, *_place("pollution station", key, value))
+                 for key, value in items.items())
 
 
 def _parse_cadence(items: dict) -> tuple[CadenceWindow, ...]:
@@ -240,11 +196,12 @@ def _parse_lookups(items: dict) -> tuple[Lookup, ...]:
                  for key, value in items.items())
 
 
+_SYNTH_FLOATS = frozenset(f.name for f in dataclasses.fields(SynthProfile)
+                          if f.type == "float")
+
+
 def _parse_synth(items: dict) -> SynthProfile:
     kwargs: dict = {}
-    float_fields = {"temp_mean_c", "temp_swing_c", "temp_peak_hour", "gap_prob",
-                    "free_flow_kmh", "peak_multiplier", "episode_prob",
-                    "episode_multiplier", "outage_prob", "cell_gap_prob"}
     for key, value in items.items():
         if value is None:
             raise ConfigError(f"synth {key!r}: missing value")
@@ -274,7 +231,7 @@ def _parse_synth(items: dict) -> SynthProfile:
                         f"synth peak window {span!r}: expected 'HH:MM-HH:MM'")
                 wins.append((parse_hhmm(lo), parse_hhmm(hi)))
             kwargs["peak_windows"] = tuple(wins)
-        elif key in float_fields:
+        elif key in _SYNTH_FLOATS:
             kwargs[key] = _floats(value, f"synth {key}")
         else:
             raise ConfigError(f"unknown synth setting {key!r}")
@@ -343,20 +300,6 @@ def _build(sections: _Sections, base_dir: Path | None) -> Config:
                 f"station {meta.station.file_id!r} uses time zone {meta.tz!r} "
                 f"which is not in [time_zones]")
     return config
-
-
-def _read(cp: configparser.ConfigParser, text: str, origin: str) -> None:
-    try:
-        cp.read_string(text, source=origin)
-    except configparser.DuplicateOptionError as exc:
-        raise ConfigError(
-            f"{origin}: duplicate entry {exc.option!r} in [{exc.section}]"
-            + (" (duplicate point name)" if exc.section == "points" else ""))
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}")
-    except AttributeError:
-        # configparser before 3.13 raises this for an indented line after a bare key.
-        raise ConfigError(f"{origin}: key without value continued by an indented line")
 
 
 def load_config(path: str | Path) -> Config:

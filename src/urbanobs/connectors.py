@@ -434,14 +434,13 @@ def assemble_station_day(
         merged = by_hour.setdefault(hhmm_s[:5], {})
         merged.update(r.fields)
     out = []
-    sample = readings[0] if readings else None
     for hhmm in sorted(by_hour):
         out.append(RawReading(
             kind="pollution", target=station.file_id,
             timestamp=f"{day.isoformat()}T{hhmm}:00",
             fields=by_hour[hhmm],
-            origin=sample.origin if sample else "assembled",
-            fetched_at=sample.fetched_at if sample else datetime.combine(day, datetime.min.time()),
+            origin=readings[0].origin,
+            fetched_at=readings[0].fetched_at,
         ))
     return out
 

@@ -361,7 +361,8 @@ class Store:
                     f"store at {self.path} has no schema yet; run init first "
                     f"({exc})")
             # Locked, read-only, full or failing: the store cannot be used.
-            raise StorageUnavailable(str(exc)) from exc
+            raise StorageUnavailable(
+                f"cannot use store at {self.path}: {exc}") from exc
 
     # -- schema ---------------------------------------------------------
 

@@ -107,7 +107,8 @@ class TestInit:
             out, err = cli("init", expect=1)
         finally:
             holder.close()
-        assert (out, err) == ("", "error: database is locked\n")
+        assert (out, err) == (
+            "", f"error: cannot use store at {db_path}: database is locked\n")
 
     def test_failed_init_leaves_no_tables(self, cli, db_path, monkeypatch):
         def fail(self, table, entries):
@@ -156,6 +157,20 @@ class TestRun:
     def test_rerun_counts_duplicates(self, cli, collected):
         out, _ = cli("run", "--days", "1", "--start", DAY.isoformat())
         assert "stored=0" in out and "duplicates=98" in out
+
+    def test_wall_clock_past_days_replay_daily_jobs(self, cli, initialized,
+                                                     monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s")
+
+        monkeypatch.setattr("time.sleep", no_sleep)
+        out, _ = cli("run", "--clock", "wall", "--days", "2",
+                     "--start", DAY.isoformat())
+        # Every entry is in the past: the traffic polls are skipped and
+        # the two daily jobs replay without waiting.
+        assert out == "".join(
+            f"day 2016-05-{d}: fired=2 skipped=4 stored=94 duplicates=0 "
+            f"rejected=0 quarantined=0 failures=0\n" for d in (16, 17))
 
     def test_aborted_day_prints_partial_summary(self, cli, initialized,
                                                 monkeypatch):

@@ -2,11 +2,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import re
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from urbanobs import config
 from urbanobs.config import (
@@ -174,6 +173,29 @@ class TestParsing:
         with pytest.raises(ConfigError, match="sima_test"):
             load_text(tmp_path, text)
 
+    @pytest.mark.parametrize("section,line,text", [
+        ("points", "gamma", "point 'gamma': expected 'lat long description'"),
+        ("points", "gamma = 25.0",
+         "point 'gamma': expected 'lat long description'"),
+        ("points", "gamma = north -100.0 x",
+         "point gamma: expected a number, got 'north'"),
+        ("points", "gamma = 25.0 west x",
+         "point gamma: expected a number, got 'west'"),
+        ("pollution_stations", "sima_x",
+         "pollution station 'sima_x': expected 'lat long description'"),
+        ("pollution_stations", "sima_x = 25.0",
+         "pollution station 'sima_x': expected 'lat long description'"),
+        ("pollution_stations", "sima_x = y -100.0 z",
+         "pollution station sima_x: expected a number, got 'y'"),
+        ("pollution_stations", "sima_x = 25.0 y z",
+         "pollution station sima_x: expected a number, got 'y'"),
+    ])
+    def test_bad_place_line_texts(self, tmp_path, section, line, text):
+        edited = MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError) as err:
+            load_text(tmp_path, edited)
+        assert str(err.value) == text
+
     def test_bad_cadence_line(self, tmp_path):
         text = MINIMAL + "\n[cadence]\ntraffic_poll 06:00 10:00\n"
         with pytest.raises(ConfigError, match="cadence"):
@@ -226,6 +248,11 @@ class TestRulesSection:
         assert cfg.rules.rule_for("weathers", "hum").max == 100
 
 
+def _exactly(text):
+    """A ``pytest.raises`` pattern that matches only ``text``."""
+    return rf"\A{re.escape(text)}\Z"
+
+
 class TestSynthSection:
     def test_overrides(self, tmp_path):
         text = MINIMAL + (
@@ -244,73 +271,15 @@ class TestSynthSection:
         ("peak_windows = 07:00..09:00", "HH:MM-HH:MM"),
         ("turbo = on", "unknown synth"),
         ("gap_prob = sometimes", "gap_prob"),
+        ("outage_prob = x",
+         _exactly("synth outage_prob: expected a number, got 'x'")),
+        ("temp_mean_c", _exactly("synth 'temp_mean_c': missing value")),
+        ("gap_prob = 1.5", _exactly("synth gap_prob 1.5 outside 0..1")),
     ])
     def test_bad_values(self, tmp_path, line, hint):
         text = MINIMAL + f"\n[synth]\n{line}\n"
         with pytest.raises(ConfigError, match=hint):
             load_text(tmp_path, text)
-
-
-# Pieces that stress the plain reader: brackets, both separators
-# configparser knows, comment prefixes, interpolation, whitespace that
-# str.strip removes but the reader must not take for column 0, and the
-# default section's name.
-_CFG_PIECE = st.sampled_from(
-    ["[", "]", "=", "#", ";", ":", "%", " ", "\t", "\r", "\x0c", "\xa0",
-     "\n", "\n", "\n", "DEFAULT", "a", "b", "k", "k", "x = 1"])
-_CFG_TEXT = st.builds(lambda head, pieces: head + "".join(pieces),
-                      st.sampled_from(["", "[a]\n"]),
-                      st.lists(_CFG_PIECE, max_size=40))
-
-
-def _configparser_sections(text):
-    """configparser's sections in order, or None when it raises."""
-    cp = config._parser()
-    try:
-        cp.read_string(text, source="x")
-    # configparser before 3.13 raises AttributeError on a continued bare key.
-    except (configparser.Error, AttributeError):
-        return None
-    return [(s, list(cp.items(s))) for s in cp.sections()]
-
-
-class TestPlainReader:
-    @settings(max_examples=1000, deadline=None)
-    @given(_CFG_TEXT)
-    @example("[a]\nx = 1\ny\n\n# c\n  # indented comment\n[b]\nz=\n")
-    @example("[a]\nx = 1\n  more\n")
-    @example("[a]\nx\n  more\n")
-    @example("[a] x\n")
-    @example("[a]]\nk = v ]\n")
-    @example("[]\n")
-    @example("[DEFAULT]\nk = 1\n[a]\n")
-    @example("k = 1\n[a]\n")
-    @example("[a]\n= v\n")
-    @example("[a]\nk = 1\nk = 2\n")
-    @example("[a]\n[a]\n")
-    @example("[a]\xa0\nk\x0c=\xa0v\r\n")
-    @example("\xa0[a]\n")
-    def test_none_or_configparser_sections(self, text):
-        got = config._read_plain(text)
-        if got is not None:
-            assert [(s, list(v.items())) for s, v in got.items()] == \
-                _configparser_sections(text)
-
-    @pytest.mark.parametrize("text", [TINY_CFG_TEXT, MINIMAL,
-                                      default_config_text()])
-    def test_shipped_configs_are_plain(self, text):
-        got = config._read_plain(text)
-        assert got is not None
-        assert [(s, list(v.items())) for s, v in got.items()] == \
-            _configparser_sections(text)
-
-    def test_plain_configs_construct_no_configparser(self, tmp_path):
-        path = tmp_path / "tiny.cfg"
-        path.write_text(TINY_CFG_TEXT)
-        with mock.patch.object(configparser, "ConfigParser",
-                               side_effect=AssertionError("configparser used")):
-            load_default()
-            load_config(path)
 
 
 def _configparser_only_load(path: Path):

@@ -108,10 +108,11 @@ class TestSchema:
             with Store(path) as s:
                 # Fail at once rather than after sqlite3's 5 s default wait.
                 s._conn.execute("PRAGMA busy_timeout = 0")
-                with pytest.raises(StorageUnavailable, match="locked"):
+                with pytest.raises(StorageUnavailable, match="locked") as err:
                     s.init_schema()
         finally:
             holder.close()
+        assert str(err.value) == f"cannot use store at {path}: database is locked"
 
     def test_uninitialized_store_says_run_init(self):
         with Store(":memory:") as s:
