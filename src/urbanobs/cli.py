@@ -34,6 +34,7 @@ from .scheduler import SimulatedClock, WallClock, build_plan, run_day
 from .storage import (
     DB_TIMESTAMP_FMT,
     LOCATION_CATALOG,
+    LOOKUP_TABLES,
     REPORT_COLUMNS,
     Store,
     export_csv,
@@ -129,10 +130,8 @@ def bootstrap_store(store: Store, cfg: config_mod.Config) -> dict:
         for entries in _catalog_entries(cfg).values():
             for entry in entries:
                 store.upsert_location(entry)
-        store.seed_lookup("time_zones", cfg.time_zones)
-        store.seed_lookup("conds", cfg.conds)
-        store.seed_lookup("icons", cfg.icons)
-        store.seed_lookup("wdires", cfg.wdires)
+        for table in LOOKUP_TABLES:
+            store.seed_lookup(table, getattr(cfg, table))
     return catalog
 
 

@@ -328,19 +328,18 @@ def _ts_text(ts: datetime) -> str:
 class Store:
     """One open database handle plus the operations the pipeline needs.
 
-    A single connection used from one thread; the day-level transaction
-    batches the commits of its inserts.
+    One connection, used from one thread; ``deferred()`` opens transactions.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
         try:
-            self._conn = sqlite3.connect(self.path)
+            self._conn = sqlite3.connect(self.path, isolation_level=None)
             self._conn.execute("PRAGMA foreign_keys = ON")
         except sqlite3.Error as exc:
             raise StorageUnavailable(f"cannot open store at {self.path}: {exc}")
         self._deferred = 0
-        # (table, file_id/code) -> row id; safe because ids never change.
+        # (table, file_id/code) -> row id; a committed id never changes.
         self._id_cache: dict[tuple[str, str], int] = {}
 
     def close(self) -> None:
@@ -355,12 +354,14 @@ class Store:
     def _execute(self, sql: str, args: tuple = ()):
         try:
             return self._conn.execute(sql, args)
-        except sqlite3.OperationalError as exc:
+        except sqlite3.IntegrityError:
+            raise
+        except sqlite3.DatabaseError as exc:
             if "no such table" in str(exc):
                 raise StorageError(
                     f"store at {self.path} has no schema yet; run init first "
                     f"({exc})")
-            # Locked, read-only, full or failing: the store cannot be used.
+            # Locked, read-only, full, failing or not SQLite: it is unusable.
             raise StorageUnavailable(
                 f"cannot use store at {self.path}: {exc}") from exc
 
@@ -372,14 +373,10 @@ class Store:
         Returns the catalog of the ten managed tables with their
         columns. A managed table that exists with a different column
         set raises MigrationRequired; unrelated extra tables are
-        ignored. The tables are created in one transaction, which an
-        enclosing ``deferred()`` extends.
+        ignored. The tables are created in one ``deferred()``
+        transaction, so a failed call leaves no table behind.
         """
         with self.deferred():
-            # sqlite3 opens no transaction before DDL, so without this
-            # BEGIN each CREATE would commit on its own.
-            if not self._conn.in_transaction:
-                self._execute("BEGIN")
             for name, sql in _SCHEMA.items():
                 row = self._execute(
                     "SELECT name FROM sqlite_master WHERE type='table' AND name=?",
@@ -398,18 +395,18 @@ class Store:
     # -- commit control ---------------------------------------------------
 
     def _rollback(self) -> None:
+        # Ids read in the dropped transaction may now name other rows, or none.
+        self._id_cache.clear()
         try:
             self._conn.rollback()
-        except sqlite3.OperationalError as exc:
+        except sqlite3.DatabaseError as exc:
             raise StorageUnavailable(
                 f"rollback failed on {self.path}: {exc}") from exc
 
     def _commit(self) -> None:
-        if self._deferred:
-            return
         try:
             self._conn.commit()
-        except sqlite3.OperationalError as exc:
+        except sqlite3.DatabaseError as exc:
             # Drop the failed transaction so no later commit publishes it.
             self._rollback()
             raise StorageUnavailable(
@@ -417,7 +414,12 @@ class Store:
 
     @contextmanager
     def deferred(self):
-        """Batch many inserts into one transaction (used per run day)."""
+        """One transaction: committed on a normal exit, rolled back on an
+        exception. Outside it, each statement commits on its own; a
+        nested block joins the outermost one.
+        """
+        if not self._deferred:
+            self._execute("BEGIN")
         self._deferred += 1
         try:
             yield self
@@ -426,8 +428,8 @@ class Store:
             if not self._deferred:
                 self._rollback()
             raise
-        else:
-            self._deferred -= 1
+        self._deferred -= 1
+        if not self._deferred:
             self._commit()
 
     # -- locations and lookups ---------------------------------------------
@@ -447,13 +449,11 @@ class Store:
             sets = ", ".join(f"{c} = ?" for c in cols)
             self._execute(f"UPDATE {table} SET {sets} WHERE {pk} = ?",
                           (*values, row[0]))
-            self._commit()
             return row[0]
         marks = ", ".join("?" * (len(cols) + 1))
         cur = self._execute(
             f"INSERT INTO {table} (file_id, {', '.join(cols)}) VALUES ({marks})",
             (loc.file_id, *values))
-        self._commit()
         return cur.lastrowid
 
     def seed_lookup(self, table: str, entries: Iterable[Lookup]) -> None:
@@ -467,7 +467,6 @@ class Store:
                 f"ON CONFLICT({code_col}) DO UPDATE "
                 f"SET description = excluded.description",
                 (e.code, e.description))
-        self._commit()
 
     def location_ids(self, table: str) -> dict[str, int]:
         """file_id -> row id for one location catalog."""
@@ -513,9 +512,8 @@ class Store:
             cur = self._conn.execute(_INSERT_SQL[table], args)
         except sqlite3.IntegrityError as exc:
             raise ReferentialError(f"insert into {table} failed: {exc}")
-        except sqlite3.OperationalError as exc:
+        except sqlite3.DatabaseError as exc:
             raise StorageUnavailable(f"insert into {table} failed: {exc}") from exc
-        self._commit()
         return "inserted" if cur.rowcount else "duplicate"
 
     # -- queries ----------------------------------------------------------

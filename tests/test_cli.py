@@ -596,6 +596,27 @@ class TestMissingStore:
         assert not typo.exists()
 
 
+class TestNotADatabase:
+    """A store path naming a file that is not SQLite is an error, not a
+    traceback, and no command changes or adds a file."""
+
+    @pytest.mark.parametrize("command", ["init", *TestMissingStore.COMMANDS])
+    def test_error_and_file_untouched(self, command, cfg_path, tmp_path,
+                                      capsys):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("buy milk\n")
+        argv = (["init", "--config", str(cfg_path)] if command == "init"
+                else TestMissingStore.argv(command, cfg_path, tmp_path))
+        code = main([*argv, "--store", str(notes)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (
+            1, "",
+            f"error: cannot use store at {notes}: file is not a database\n")
+        assert notes.read_text() == "buy milk\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["notes.txt", "tiny.cfg"]
+
+
 class TestFixtureSource:
     def _write_corpus(self, root: Path, cfg) -> None:
         """Capture one synth day as fixture files the run can replay."""

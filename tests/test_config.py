@@ -283,7 +283,8 @@ class TestSynthSection:
 
 
 def _configparser_only_load(path: Path):
-    """load_config as it was before the plain reader: configparser only."""
+    """load_config restated apart from config.py: the fixed reference that
+    every odd config's outcome is checked against."""
     cp = configparser.ConfigParser(
         delimiters=("=",), allow_no_value=True, interpolation=None,
         strict=True, comment_prefixes=("#",))

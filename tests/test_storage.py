@@ -223,6 +223,25 @@ class TestInserts:
         with pytest.raises(StorageUnavailable, match="readonly"):
             tiny_store.insert_record(w_rec())
 
+    def test_rollback_forgets_resolved_ids(self, store):
+        """An id read in a rolled-back transaction may later name another
+        row; a record must not be filed under it."""
+        pws_a = WeatherStation(file_id="pws_a", lat=1.0, long=2.0,
+                               station_id="KA1")
+        pws_b = WeatherStation(file_id="pws_b", lat=3.0, long=4.0,
+                               station_id="KB1")
+        with pytest.raises(RuntimeError):
+            with store.deferred():
+                store.upsert_location(pws_a)
+                store.insert_record(w_rec(station="pws_a"))
+                raise RuntimeError("day aborted")
+        assert store.upsert_location(pws_b) == 1  # pws_a's dropped id
+        with pytest.raises(ReferentialError) as err:
+            store.insert_record(w_rec(station="pws_a"))
+        assert str(err.value) == \
+            "unknown weather station 'pws_a' (table locations_w)"
+        assert store.record_count("weathers") == 0
+
     def test_failed_commit_is_unavailable(self, tmp_path, tiny_cfg):
         path = tmp_path / "locked.db"
         with Store(path) as store:
