@@ -35,7 +35,6 @@ from .storage import (
     DB_TIMESTAMP_FMT,
     LOCATION_CATALOG,
     LOOKUP_TABLES,
-    REPORT_COLUMNS,
     Store,
     export_csv,
     queryable_attributes,

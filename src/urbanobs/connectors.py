@@ -33,7 +33,7 @@ import functools
 import os
 import re
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
 from stat import S_ISREG
@@ -55,7 +55,6 @@ __all__ = [
     "SourcePayload",
     "RawReading",
     "QuarantinedLine",
-    "Quarantine",
     "parse_weather_observations",
     "parse_traffic_response",
     "parse_pollution_tables",
@@ -129,23 +128,6 @@ class QuarantinedLine:
     line_no: int
     line: str
     reason: str
-
-
-class Quarantine:
-    """Append-only sink for quarantined lines."""
-
-    def __init__(self) -> None:
-        self._items: list[QuarantinedLine] = []
-
-    def extend(self, items: Iterable[QuarantinedLine]) -> None:
-        self._items.extend(items)
-
-    @property
-    def items(self) -> tuple[QuarantinedLine, ...]:
-        return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 def _content_lines(body: str) -> list[tuple[int, str]]:

@@ -23,7 +23,7 @@ from datetime import date, datetime, time, timedelta
 from typing import Protocol, Sequence
 
 from .connectors import (
-    Quarantine,
+    QuarantinedLine,
     assemble_station_day,
     parse_pollution_tables,
     parse_traffic_response,
@@ -240,101 +240,82 @@ class RunSummary:
                 f"quarantined={self.quarantined} failures={len(self.failures)}")
 
 
-class _DayRunner:
-    def __init__(self, plan, source, store, config, summary, quarantine):
-        self.plan = plan
-        self.source = source
-        self.store = store
-        self.config = config
-        self.summary = summary
-        self.quarantine = quarantine
-        self.routes = {r.file_id: r for r in config.routes}
-        self.stations = {m.station.file_id: m.station
-                         for m in config.weather_stations}
+def _attempt(failures: list[str], name: str, target: str, job, *args) -> None:
+    """Run job(*args); record an Error as "<name> <target>: <exc>", but a store's goes on up."""
+    try:
+        job(*args)
+    except StorageUnavailable:
+        raise
+    except Error as exc:
+        failures.append(f"{name} {target}: {exc}")
 
-    def _ingest(self, validate, raws) -> None:
-        """Validate and store each candidate; a bad one costs only itself."""
-        summary = self.summary
+
+def run_day(plan: CadencePlan, source, store, config,
+            clock: Clock | None = None,
+            quarantine: list[QuarantinedLine] | None = None) -> RunSummary:
+    """Execute one day's plan against a source registry and a store.
+
+    A rejected record costs that record, a failed station feed that
+    station's sweep, a failed plan entry that entry: each is recorded
+    under `failures` and the day goes on. A store that cannot be written
+    is never counted there; it aborts the day, raising with the partial
+    summary attached. Inserts for the whole day share one transaction.
+    Quarantined payload lines are appended to the `quarantine` list.
+    """
+    clock = clock or SimulatedClock(datetime.combine(plan.day, time(0, 0)))
+    quarantine = quarantine if quarantine is not None else []
+    summary = RunSummary(day=plan.day)
+    failures = summary.failures
+    rules = config.rules
+    routes = {r.file_id: r for r in config.routes}
+    stations = {m.station.file_id: m.station for m in config.weather_stations}
+
+    def ingest(validate, raws) -> None:
         for raw in raws:
             try:
-                record, _report = validate(raw, self.config.rules)
-                if self.store.insert_record(record) == "duplicate":
+                record, _report = validate(raw, rules)
+                if store.insert_record(record) == "duplicate":
                     summary.duplicates += 1
                 else:
                     summary.stored += 1
             except RecordRejected as exc:
                 summary.rejected += 1
-                summary.failures.append(str(exc))
+                failures.append(str(exc))
             except (ReferentialError, OutOfRangeError) as exc:
                 # an uncatalogued code or location, or a value a rules
                 # file admits but the record type refuses
                 summary.rejected += 1
-                summary.failures.append(f"{raw.timestamp} {raw.target}: {exc}")
+                failures.append(f"{raw.timestamp} {raw.target}: {exc}")
 
-    def traffic(self, entry) -> None:
-        route = self.routes.get(entry.target)
-        if route is None:
-            raise ConfigError(f"plan names unknown route {entry.target!r}")
-        payload = self.source.fetch_traffic(route, entry.at)
-        self._ingest(validate_traffic, [parse_traffic_response(payload, route)])
+    def backfill(meta, at) -> None:
+        payload = source.fetch_weather(meta, plan.day - timedelta(days=1), fetched_at=at)
+        readings, quarantined = parse_weather_observations(payload, stations)
+        quarantine.extend(quarantined)
+        summary.quarantined += len(quarantined)
+        ingest(validate_weather, readings)
 
-    def weather_backfill(self, entry) -> None:
-        day_before = self.plan.day - timedelta(days=1)
-        for meta in self.config.weather_stations:
-            try:
-                payload = self.source.fetch_weather(meta, day_before,
-                                                    fetched_at=entry.at)
-                readings, quarantined = parse_weather_observations(
-                    payload, self.stations)
-                self.quarantine.extend(quarantined)
-                self.summary.quarantined += len(quarantined)
-                self._ingest(validate_weather, readings)
-            except StorageUnavailable:
-                raise
-            except Error as exc:
-                # One broken station feed must not cost the other 31.
-                self.summary.failures.append(
-                    f"weather {meta.station.file_id}: {exc}")
+    def scrape(station, at) -> None:
+        payload = source.fetch_pollution(station, plan.day, min(23, at.hour), fetched_at=at)
+        readings = parse_pollution_tables(payload)
+        ingest(validate_pollution, assemble_station_day(readings, station, plan.day))
 
-    def pollution_scrape(self, entry) -> None:
-        request_hour = min(23, entry.at.hour)
-        for station in self.config.pollution_stations:
-            try:
-                payload = self.source.fetch_pollution(
-                    station, self.plan.day, request_hour, fetched_at=entry.at)
-                readings = parse_pollution_tables(payload)
-                self._ingest(validate_pollution,
-                             assemble_station_day(readings, station, self.plan.day))
-            except StorageUnavailable:
-                raise
-            except Error as exc:
-                self.summary.failures.append(
-                    f"pollution {station.file_id}: {exc}")
-
-    def execute(self, entry) -> None:
+    def fire(entry) -> None:
         if entry.kind == TRAFFIC_POLL:
-            self.traffic(entry)
+            route = routes.get(entry.target)
+            if route is None:
+                raise ConfigError(f"plan names unknown route {entry.target!r}")
+            payload = source.fetch_traffic(route, entry.at)
+            ingest(validate_traffic, [parse_traffic_response(payload, route)])
         elif entry.kind == WEATHER_BACKFILL:
-            self.weather_backfill(entry)
+            # One broken station feed must not cost the other 31.
+            for meta in config.weather_stations:
+                _attempt(failures, "weather", meta.station.file_id, backfill, meta, entry.at)
         elif entry.kind == POLLUTION_SCRAPE:
-            self.pollution_scrape(entry)
-        else:  # pragma: no cover - plans only hold known kinds
+            for station in config.pollution_stations:
+                _attempt(failures, "pollution", station.file_id, scrape, station, entry.at)
+        else:
             raise ConfigError(f"unknown task kind {entry.kind!r}")
 
-
-def run_day(plan: CadencePlan, source, store, config,
-            clock: Clock | None = None,
-            quarantine: Quarantine | None = None) -> RunSummary:
-    """Execute one day's plan against a source registry and a store.
-
-    Individual entry failures are recorded and the day continues; only
-    an unavailable store aborts, raising with the partial summary
-    attached. Inserts for the whole day share one transaction.
-    """
-    clock = clock or SimulatedClock(datetime.combine(plan.day, time(0, 0)))
-    quarantine = quarantine if quarantine is not None else Quarantine()
-    summary = RunSummary(day=plan.day)
-    runner = _DayRunner(plan, source, store, config, summary, quarantine)
     started_at = clock.now()
     daily = (WEATHER_BACKFILL, POLLUTION_SCRAPE)
     try:
@@ -344,14 +325,8 @@ def run_day(plan: CadencePlan, source, store, config,
                     summary.skipped += 1
                     continue
                 clock.wait_until(entry.at)
-                try:
-                    runner.execute(entry)
-                except StorageUnavailable:
-                    raise
-                except Error as exc:
-                    summary.failures.append(f"{entry.kind} {entry.target}: {exc}")
+                _attempt(failures, entry.kind, entry.target, fire, entry)
                 summary.fired += 1
     except StorageUnavailable as exc:
-        raise RunAborted(f"store unavailable on {plan.day}: {exc}",
-                         summary) from exc
+        raise RunAborted(f"store unavailable on {plan.day}: {exc}", summary) from exc
     return summary

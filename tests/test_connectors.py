@@ -13,7 +13,6 @@ from urbanobs.connectors import (
     TIMESTAMP_FMT,
     WEATHER_KEYS,
     FixtureDirectorySource,
-    Quarantine,
     SourcePayload,
     assemble_station_day,
     parse_pollution_tables,
@@ -293,15 +292,6 @@ class TestPollutionParsing:
             cells = [(h, by_cell.get((c, h))) for h in hours]
             blocks.append(("sima_centro", c.upper(), "2016-05-16", cells))
         assert pollution_payload_body(blocks) == body
-
-
-class TestQuarantine:
-    def test_threadsafe_sink_collects(self):
-        q = Quarantine()
-        from urbanobs.connectors import QuarantinedLine
-        q.extend([QuarantinedLine("x", 1, "line", "why")])
-        assert len(q) == 1
-        assert q.items[0].reason == "why"
 
 
 class TestFixtureDirectorySource:

@@ -8,7 +8,7 @@ from datetime import date, datetime, timedelta
 
 import pytest
 
-from urbanobs.connectors import Quarantine, SourcePayload
+from urbanobs.connectors import SourcePayload
 from urbanobs.errors import (
     ConfigError,
     RunAborted,
@@ -22,6 +22,7 @@ from urbanobs.scheduler import (
     WEATHER_BACKFILL,
     CadencePlan,
     CadenceWindow,
+    PlanEntry,
     SimulatedClock,
     build_plan,
     next_due,
@@ -257,10 +258,31 @@ class TestRunDay:
         assert summary.fired == len(plan.entries)
         assert summary.stored == 0
         # 4 traffic entries fail one by one; the sweeps record one
-        # failure per station (2 weather, 1 pollution)
-        assert len(summary.failures) == 4 + 2 + 1
-        assert any("traffic api down" in f for f in summary.failures)
-        assert any("weather feed down" in f for f in summary.failures)
+        # failure per station (2 weather, 1 pollution), in plan order
+        polls = [f"traffic_poll {r}: traffic api down for {r}"
+                 for r in ("alpha-beta", "beta-alpha")]
+        assert summary.failures == [
+            "weather pws_one: weather feed down for pws_one",
+            "weather apt_one: weather feed down for apt_one",
+            *polls, *polls,
+            "pollution sima_test: pollution site down for sima_test",
+        ]
+
+    def test_bad_plan_entries_cost_only_themselves(self, tiny_cfg, tiny_store):
+        at = datetime(2016, 5, 16, 6, 0)
+        route = tiny_cfg.routes[0].file_id
+        plan = CadencePlan(day=DAY, entries=(
+            PlanEntry(at, "bogus", ALL_TARGETS),
+            PlanEntry(at, TRAFFIC_POLL, "nowhere"),
+            PlanEntry(at, TRAFFIC_POLL, route),
+        ))
+        summary = run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        assert summary.failures == [
+            "bogus *: unknown task kind 'bogus'",
+            "traffic_poll nowhere: plan names unknown route 'nowhere'",
+        ]
+        assert (summary.fired, summary.stored) == (3, 1)
+        assert tiny_store.all_counts()["traffics"] == 1
 
     def test_midday_start_skips_past_but_replays_daily(self, tiny_cfg, tiny_store, plan):
         clock = SimulatedClock(datetime(2016, 5, 16, 12, 0))
@@ -279,6 +301,26 @@ class TestRunDay:
         summary = err.value.summary
         assert summary is not None and summary.day == DAY
         assert summary.stored == 0
+
+    @pytest.mark.parametrize("record_type", ["WeatherRecord", "TrafficRecord",
+                                             "PollutionRecord"])
+    def test_store_loss_at_each_boundary_aborts_the_day(self, tiny_cfg, tiny_store,
+                                                        plan, record_type):
+        # The first insert of one kind fails: inside a weather or a
+        # pollution station sweep, or inside a traffic plan entry.
+        class LosingStore(_InterruptingStore):
+            def insert_record(self, record):
+                if type(record).__name__ == record_type:
+                    raise StorageUnavailable("backing file vanished")
+                return super().insert_record(record)
+
+        with pytest.raises(RunAborted) as err:
+            run_day(plan, SynthSource(tiny_cfg.profile),
+                    LosingStore(tiny_store, None, None), tiny_cfg)
+        assert "backing file vanished" in str(err.value)
+        assert err.value.summary.failures == []
+        counts = tiny_store.all_counts()
+        assert counts["weathers"] == counts["traffics"] == counts["pollutions"] == 0
 
     def test_read_only_store_aborts_the_day(self, tiny_cfg, tiny_store, plan):
         tiny_store._conn.execute("PRAGMA query_only = ON")
@@ -317,12 +359,12 @@ class TestRunDay:
                 return SourcePayload("weather", p.fetched_at, p.body + extra,
                                      p.origin)
 
-        sink = Quarantine()
+        sink = []
         summary = run_day(plan, GhostSource(tiny_cfg.profile), tiny_store,
                           tiny_cfg, quarantine=sink)
         assert summary.quarantined == 2  # one ghost line per station feed
         assert len(sink) == 2
-        assert all("pws_ghost" in q.reason for q in sink.items)
+        assert all("pws_ghost" in q.reason for q in sink)
 
     def test_uncatalogued_code_costs_only_its_record(self, tiny_cfg, tiny_store, plan):
         bad = {}
@@ -389,7 +431,6 @@ class TestRunDay:
         route = tiny_cfg.routes[0].file_id
         tiny_store._conn.execute("DELETE FROM locations_w WHERE file_id = 'apt_one'")
         tiny_store._conn.execute("DELETE FROM locations_t WHERE file_id = ?", (route,))
-        tiny_store._conn.commit()
         summary = run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)
         counts = tiny_store.all_counts()
         assert counts["weathers"] == 48 and counts["traffics"] == 2
