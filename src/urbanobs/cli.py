@@ -11,12 +11,19 @@ config only when ``--store`` is absent or ``--config`` is named; the
 store path is ``--store``, else ``$URBANOBS_STORE``, else the config's
 ``[store] path``, else ``urbanobs.db``.
 
-``main`` builds only the parser of the command it runs: one table,
-``_COMMANDS``, gives each command's help, handler and arguments, and
-drives both that single parser and the full ``build_argparser()``.
-Help, usage and error texts are the full parser's, byte for byte; any
-argv that does not start with a command name goes through the full
-parser.
+``main`` reads a plain command line without building a parser. One
+table, ``_COMMANDS``, gives each command's help, handler and argument
+specs; the specs drive the direct read, the single-command parser and
+the full ``build_argparser()``. After a command name, a line is read
+directly when every word starting with ``-`` is one of the command's
+exact long flags, given once and followed by a value word that does
+not start with ``-``; the other words fill the command's positionals
+exactly; every required option is present; and every type and choice
+holds. argparse parses every other line: help, abbreviations,
+``--x=y``, ``--``, repeated options, dash-led values, missing or bad
+values and extra words. Help, usage and error texts are the full
+parser's, byte for byte; any argv that does not start with a command
+name goes through the full parser.
 """
 
 from __future__ import annotations
@@ -150,6 +157,8 @@ def _make_source(cfg, spec: str):
         return SynthSource(cfg.profile)
     kind, sep, path = spec.partition(":")
     if kind == "fixtures" and sep and path:
+        if not Path(path).is_dir():
+            raise Error(f"fixtures directory {path} not found")
         return FixtureDirectorySource(path)
     raise Error(f"unknown source {spec!r}; use 'synth' or 'fixtures:<dir>'")
 
@@ -186,7 +195,7 @@ def cmd_run(args) -> int:
 
 def _print_rows(result) -> None:
     lines = ["\t".join(result.columns)]
-    lines += ["\t".join("" if v is None else str(v) for v in row)
+    lines += ["\t".join(["" if v is None else str(v) for v in row])
               for row in result.rows]
     lines.append("")
     sys.stdout.write("\n".join(lines))
@@ -202,7 +211,10 @@ def _run_query(args, attrs: list[str] | None) -> int:
         attributes = attrs if attrs is not None else list(queryable_attributes(table))
         result = store.query_attribute(table, attributes, locs, start, end)
         if args.csv:
-            export_csv(result, dest=args.csv)
+            try:
+                export_csv(result, dest=args.csv)
+            except OSError as exc:
+                raise Error(f"cannot write CSV to {args.csv}: {exc.strerror}") from None
             print(f"wrote {len(result)} rows to {args.csv}")
         else:
             _print_rows(result)
@@ -235,59 +247,50 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_store_args(p) -> None:
-    p.add_argument("--config", help="config file (default: packaged config)")
-    p.add_argument("--store", help="database path (overrides config and "
-                   f"${config_mod.STORE_ENV_VAR})")
+_STORE_ARGS = (
+    ("--config", {"help": "config file (default: packaged config)"}),
+    ("--store", {"help": "database path (overrides config and "
+                         f"${config_mod.STORE_ENV_VAR})"}),
+)
+_TABLE_ARG = ("table", {"help": "weathers, traffics or pollutions"})
+_RANGE_ARGS = (
+    ("--loc", {"help": "comma-separated location ids or file_ids (default: all)"}),
+    ("--from", {"dest": "start", "help": "range start (inclusive)"}),
+    ("--to", {"dest": "end",
+              "help": "range end (inclusive; date widens to 23:59:59)"}),
+)
 
-
-def _add_run_args(p) -> None:
-    _add_store_args(p)
-    p.add_argument("--days", type=int, required=True)
-    p.add_argument("--start", help="first day, YYYY-MM-DD (default: today)")
-    p.add_argument("--clock", choices=("simulated", "wall"), default="simulated")
-    p.add_argument("--source", default="synth",
-                   help="'synth' or 'fixtures:<dir>' (default: synth)")
-
-
-def _add_table_arg(p) -> None:
-    p.add_argument("table", help="weathers, traffics or pollutions")
-
-
-def _add_range_args(p) -> None:
-    p.add_argument("--loc", help="comma-separated location ids or file_ids "
-                   "(default: all)")
-    p.add_argument("--from", dest="start", help="range start (inclusive)")
-    p.add_argument("--to", dest="end",
-                   help="range end (inclusive; date widens to 23:59:59)")
-
-
-def _add_query_args(p) -> None:
-    _add_store_args(p)
-    # Before --attrs: argparse names missing required arguments in the
-    # order they were added.
-    _add_table_arg(p)
-    p.add_argument("--attrs", required=True, help="comma-separated attributes")
-    _add_range_args(p)
-    p.add_argument("--csv", help="write CSV here instead of stdout")
-
-
-def _add_export_args(p) -> None:
-    _add_store_args(p)
-    _add_table_arg(p)
-    _add_range_args(p)
-    p.add_argument("--csv", required=True, help="output file")
-
-
-# name -> (help, handler, function adding every argument of the command)
+# name -> (help, handler, (flag, add_argument kwargs) of every argument).
+# Spec order is the order argparse adds, fills and reports them: the
+# query table comes before --attrs because argparse names missing
+# required arguments in that order.
 _COMMANDS = {
-    "init": ("create the schema and load catalogs", cmd_init, _add_store_args),
-    "run": ("execute collection days", cmd_run, _add_run_args),
-    "query": ("select attribute values", cmd_query, _add_query_args),
-    "report": ("per-attribute accounting summary", cmd_report, _add_store_args),
-    "export": ("dump all attributes of a table to CSV", cmd_export,
-               _add_export_args),
+    "init": ("create the schema and load catalogs", cmd_init, _STORE_ARGS),
+    "run": ("execute collection days", cmd_run, (
+        *_STORE_ARGS,
+        ("--days", {"type": int, "required": True}),
+        ("--start", {"help": "first day, YYYY-MM-DD (default: today)"}),
+        ("--clock", {"choices": ("simulated", "wall"), "default": "simulated"}),
+        ("--source", {"default": "synth",
+                      "help": "'synth' or 'fixtures:<dir>' (default: synth)"}),
+    )),
+    "query": ("select attribute values", cmd_query, (
+        *_STORE_ARGS, _TABLE_ARG,
+        ("--attrs", {"required": True, "help": "comma-separated attributes"}),
+        *_RANGE_ARGS,
+        ("--csv", {"help": "write CSV here instead of stdout"}),
+    )),
+    "report": ("per-attribute accounting summary", cmd_report, _STORE_ARGS),
+    "export": ("dump all attributes of a table to CSV", cmd_export, (
+        *_STORE_ARGS, _TABLE_ARG, *_RANGE_ARGS,
+        ("--csv", {"required": True, "help": "output file"}),
+    )),
 }
+
+
+def _add_arguments(p: argparse.ArgumentParser, specs) -> None:
+    for flag, kwargs in specs:
+        p.add_argument(flag, **kwargs)
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -296,32 +299,77 @@ def build_argparser() -> argparse.ArgumentParser:
         description="Collect, store and query urban weather, traffic and "
                     "air-quality telemetry.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, add_args) in _COMMANDS.items():
+    for name, (help_text, func, specs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_args(p)
+        _add_arguments(p, specs)
         p.set_defaults(func=func)
     return ap
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as ``build_argparser`` makes it."""
+    p = argparse.ArgumentParser(prog=f"urbanobs {name}")
+    _add_arguments(p, _COMMANDS[name][2])
+    return p
+
+
+def _read_direct(specs, words: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives for ``words`` when they are a plain
+    line (see the module docstring); None leaves the line to argparse."""
+    flags = {flag: kwargs for flag, kwargs in specs if flag[0] == "-"}
+    given: dict[str, str] = {}
+    positionals = []
+    words = iter(words)
+    for word in words:
+        if word[:1] != "-":
+            positionals.append(word)
+            continue
+        value = next(words, "-")
+        if word not in flags or word in given or value[:1] == "-":
+            return None
+        given[word] = value
+    if len(positionals) != len(specs) - len(flags):
+        return None
+    values = {}
+    positionals = iter(positionals)
+    for flag, kwargs in specs:
+        if flag not in flags:
+            values[flag] = next(positionals)
+            continue
+        if flag in given:
+            try:
+                value = kwargs.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        values[kwargs.get("dest", flag[2:])] = value
+    return argparse.Namespace(**values)
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """What ``build_argparser().parse_args(argv)`` gives, building less.
 
-    When argv starts with a command name, only that command's parser is
-    built, as the subparser ``build_argparser`` would make; words it
-    leaves over get the full parser's ``unrecognized arguments`` error.
+    When argv starts with a command name, a plain rest of the line (see
+    ``_read_direct``) builds no parser at all; any other rest goes to
+    that command's parser alone, and words it leaves over get the full
+    parser's ``unrecognized arguments`` error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in _COMMANDS:
         return build_argparser().parse_args(argv)
     name = argv[0]
-    _, func, add_args = _COMMANDS[name]
-    p = argparse.ArgumentParser(prog=f"urbanobs {name}")
-    add_args(p)
-    args, extras = p.parse_known_args(argv[1:])
-    if extras:
-        build_argparser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _read_direct(_COMMANDS[name][2], argv[1:])
+    if args is None:
+        args, extras = _command_parser(name).parse_known_args(argv[1:])
+        if extras:
+            build_argparser().error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = name
-    args.func = func
+    args.func = _COMMANDS[name][1]
     return args
 
 

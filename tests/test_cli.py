@@ -191,6 +191,25 @@ class TestRun:
                      "--source", "ftp:somewhere", expect=1)
         assert "unknown source" in err
 
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.write_text("x")],
+                             ids=["missing", "file"])
+    def test_fixtures_directory_must_exist(self, cli, db_path, tmp_path, make):
+        # Checked before the store is opened: the store here was never made.
+        corpus = tmp_path / "corpus"
+        make(corpus)
+        out, err = cli("run", "--days", "1", "--start", DAY.isoformat(),
+                       "--source", f"fixtures:{corpus}", expect=1)
+        assert (out, err) == ("", f"error: fixtures directory {corpus} not found\n")
+        assert not db_path.exists()
+
+    def test_missing_fixtures_directory_runs_no_day(self, cli, initialized, tmp_path):
+        out, _ = cli("run", "--days", "2", "--start", DAY.isoformat(),
+                     "--source", f"fixtures:{tmp_path / 'nonexist'}", expect=1)
+        assert out == ""
+        with Store(initialized) as s:
+            for table in ("weathers", "traffics", "pollutions"):
+                assert s.record_count(table) == 0
+
     def test_bad_start_day(self, cli, initialized):
         _, err = cli("run", "--days", "1", "--start", "yesterday", expect=1)
         assert "cannot read day" in err
@@ -434,6 +453,17 @@ class TestExport:
         cli("export", "pollutions", "--from", "2016-05-16 02:00:00",
             "--to", "2016-05-16 03:00:00", "--csv", str(dest))
         assert len(dest.read_text().strip().splitlines()) == 1 + 2
+
+
+class TestUnwritableCsv:
+    @pytest.mark.parametrize("command", [["query", "weathers", "--attrs", "temp"],
+                                         ["export", "weathers"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("dest,reason", [("nodir/x.csv", "No such file or directory"),
+                                             (".", "Is a directory")])
+    def test_error_not_traceback(self, cli, collected, tmp_path, command, dest, reason):
+        dest = str(tmp_path / dest)
+        out, err = cli(*command, "--csv", dest, expect=1)
+        assert (out, err) == ("", f"error: cannot write CSV to {dest}: {reason}\n")
 
 
 class TestStorePrecedence:

@@ -4,14 +4,17 @@
 call before it built only the invoked command's parser. For every argv
 below, the old parse and ``cli.main`` must agree byte for byte on exit
 code, stdout and stderr; where the old parse succeeds, ``cli.parse_args``
-must give the same Namespace.
+must give the same Namespace. A plain command line builds no parser:
+whenever ``cli._read_direct`` reads one, argparse reads it the same.
 """
 
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urbanobs import cli
 from urbanobs import config as config_mod
@@ -177,3 +180,69 @@ def test_command_line_builds_only_its_parser(monkeypatch):
 
     monkeypatch.setattr(cli, "build_argparser", full_parser)
     assert cli.parse_args([*Q, "--store", "s.db"]).store == "s.db"
+
+
+_FLAGS = sorted({flag for _, _, specs in cli._COMMANDS.values()
+                 for flag, _ in specs if flag.startswith("-")})
+_VALUES = ["weathers", "traffics", "s.db", "temp,hum", "2016-05-16 08:00:00", "1",
+           "0", "1.5", "x", "", "a b", "wall", "simulated", "fast", "fixtures:d",
+           "-1", "-5", "-", "--5"]
+_OTHERS = ["--st", "--att", "--a", "--store=s.db", "--days=2", "-h", "--help", "--",
+           "--bogus", "-x"]
+# Values that --days and --clock may or may not take.
+_VALUES_OF = {"--days": ["1", "0", "x", "-1"], "--clock": ["wall", "simulated", "fast"]}
+
+
+@st.composite
+def _lines(draw, specs):
+    """A command line of the specs, in any order, with up to three pieces
+    inserted: a lone word of any command, or a flag of these specs next
+    to a value. Optional flags come and go; values may be bad."""
+    def pair(flag):
+        return [flag, draw(st.sampled_from(_VALUES_OF.get(flag, _VALUES)))]
+
+    flags = [flag for flag, _ in specs if flag.startswith("-")]
+    pieces = []
+    for flag, kwargs in specs:
+        if flag not in flags:
+            pieces.append([draw(st.sampled_from(_VALUES))])
+        elif kwargs.get("required") or draw(st.booleans()):
+            pieces.append(pair(flag))
+    pieces = draw(st.permutations(pieces))
+    for _ in range(draw(st.integers(0, 3))):
+        extra = (pair(draw(st.sampled_from(flags))) if flags and draw(st.booleans())
+                 else [draw(st.sampled_from(_FLAGS + _VALUES + _OTHERS))])
+        pieces.insert(draw(st.integers(0, len(pieces))), extra)
+    return [w for piece in pieces for w in piece]
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_direct_read_is_argparse(name):
+    specs = cli._COMMANDS[name][2]
+    paths = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_lines(specs))
+    def check(words):
+        direct = cli._read_direct(specs, words)
+        paths["argparse" if direct is None else "direct"] += 1
+        if direct is not None:
+            args, extras = cli._command_parser(name).parse_known_args(words)
+            assert (args, extras) == (direct, [])
+
+    check()
+    assert paths["direct"] and paths["argparse"], paths
+
+
+def test_query_mix_lines_build_no_parser(monkeypatch):
+    argvs = [[*Q, "--store", "s.db", "--loc", "sima_centro,2", "--from",
+              "2016-05-16 08:00:00", "--to", "2016-05-18 11:00:00"],
+             ["report", "--store", "s.db"],
+             ["export", "pollutions", "--store", "s.db", "--csv", "o.csv"]]
+    want = [_old_build_argparser().parse_args(argv) for argv in argvs]
+
+    def no_parser(*args, **kwargs):
+        raise AssertionError("built an argparse parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    assert [cli.parse_args(argv) for argv in argvs] == want
