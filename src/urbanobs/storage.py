@@ -623,20 +623,30 @@ class Store:
         return problems
 
 
-def export_csv(result: QueryResult, dest=None) -> str:
-    """Serialize a query result to CSV text; NA becomes the empty cell.
-
-    The csv module writes None as an empty cell and numbers as str()
-    would, so rows go out unconverted.
-    """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+def _write_csv(out, result) -> None:
+    w = csv.writer(out, lineterminator="\n")
     w.writerow(result.columns)
     w.writerows(result.rows)
-    text = buf.getvalue()
-    if dest is not None:
-        Path(dest).write_text(text)
-    return text
+
+
+def export_csv(result, dest=None) -> str | None:
+    """Serialize a query result to CSV; NA becomes the empty cell.
+
+    ``result`` is anything with ``columns`` and iterable ``rows``. The
+    csv module writes None as an empty cell and numbers as str() would,
+    so rows go out unconverted. Without ``dest`` the CSV text is
+    returned. With ``dest`` the file is opened once, as
+    ``Path.write_text`` opens it, and the rows are written as they are
+    iterated, so no text is built and None is returned; an error while
+    iterating leaves the rows written so far.
+    """
+    if dest is None:
+        buf = io.StringIO()
+        _write_csv(buf, result)
+        return buf.getvalue()
+    with open(dest, "w") as out:
+        _write_csv(out, result)
+    return None
 
 
 def import_csv(text: str, table: str) -> QueryResult:

@@ -466,6 +466,78 @@ class TestUnwritableCsv:
         assert (out, err) == ("", f"error: cannot write CSV to {dest}: {reason}\n")
 
 
+class TestCsvIsTheStore:
+    @pytest.mark.parametrize("command", [["query", "traffics", "--attrs", "traveldist"],
+                                         ["export", "traffics"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("via_link", [False, True], ids=["path", "symlink"])
+    def test_refused_and_store_untouched(self, cli, collected, tmp_path, command, via_link):
+        dest = collected
+        if via_link:
+            dest = tmp_path / "link.db"
+            dest.symlink_to(collected)
+        before = collected.read_bytes()
+        out, err = cli(*command, "--csv", str(dest), expect=1)
+        assert (out, err) == ("", f"error: --csv {dest} is the store itself\n")
+        assert collected.read_bytes() == before
+        cli("report")
+
+
+class TestExportPerLocation:
+    def test_no_read_holds_more_than_one_location(self, cli, collected, tmp_path,
+                                                  monkeypatch):
+        sizes = []
+        query = Store.query_attribute
+
+        def recording(self, *args, **kwargs):
+            result = query(self, *args, **kwargs)
+            sizes.append(len(result))
+            return result
+
+        monkeypatch.setattr(Store, "query_attribute", recording)
+        dest = tmp_path / "weathers.csv"
+        out, _ = cli("export", "weathers", "--csv", str(dest))
+        conn = sqlite3.connect(collected)
+        per_location = [n for (n,) in conn.execute(
+            "SELECT COUNT(*) FROM weathers GROUP BY id_locations_w")]
+        conn.close()
+        assert len(per_location) == 2
+        assert max(sizes) <= max(per_location)
+        assert sorted(sizes) == sorted(per_location)
+        assert out == f"wrote {sum(per_location)} rows to {dest}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "weathers", "--attrs", "temp,speed"],
+        ["query", "weathers", "--attrs", "temp", "--from", "2016-05-17", "--to", "2016-05-16"],
+        ["export", "weathers", "--from", "2016-05-17", "--to", "2016-05-16"],
+        ["export", "weathers", "--loc", "", "--from", "2016-05-17", "--to", "2016-05-16"],
+    ], ids=["attribute", "query-range", "export-range", "no-location-range"])
+    def test_bad_query_leaves_existing_csv(self, cli, collected, tmp_path, argv):
+        dest = tmp_path / "keep.csv"
+        dest.write_bytes(b"kept,bytes\r\n")
+        out, err = cli(*argv, "--csv", str(dest), expect=1)
+        assert out == "" and err.startswith("error: ")
+        assert dest.read_bytes() == b"kept,bytes\r\n"
+
+    def test_store_failure_midway_leaves_partial_file(self, cli, collected, tmp_path,
+                                                      monkeypatch):
+        query = Store.query_attribute
+        calls = []
+
+        def failing(self, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise StorageUnavailable("cannot use store at obs.db: disk I/O error")
+            return query(self, *args, **kwargs)
+
+        monkeypatch.setattr(Store, "query_attribute", failing)
+        dest = tmp_path / "weathers.csv"
+        out, err = cli("export", "weathers", "--csv", str(dest), expect=1)
+        assert (out, err) == ("", "error: cannot use store at obs.db: disk I/O error\n")
+        with Store(collected) as s:
+            first = query(s, *calls[0])
+        assert first.rows and dest.read_text() == export_csv(first)
+
+
 class TestStorePrecedence:
     def test_flag_beats_env(self, cfg_path, tmp_path, monkeypatch, capsys):
         env_db = tmp_path / "env.db"
@@ -735,9 +807,10 @@ class TestExportFormatting:
             ("2016-05-16 00:15:00", 4, 0.1 + 0.2, ""),
             ("2016-05-16 00:20:00", 5, -0.0, "x,y"),
         ))
-        dest = tmp_path / "out.csv"
-        assert export_csv(result, dest=dest) == _old_export_csv(result)
-        assert dest.read_text() == _old_export_csv(result)
+        dest, old = tmp_path / "out.csv", tmp_path / "old.csv"
+        assert export_csv(result, dest=dest) is None
+        old.write_text(_old_export_csv(result))  # how the old export wrote it
+        assert dest.read_bytes() == old.read_bytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_CELL, _CELL, _CELL), max_size=5))

@@ -457,8 +457,9 @@ def _natural_key_index(conn, table: str) -> str:
 
 
 class TestQueryPlan:
-    """A query or export reads one natural-key index range per location,
-    already in output order: SQLite sorts nothing."""
+    """A query reads one natural-key index range per location, already
+    in output order: SQLite sorts nothing. An export runs one such
+    statement per location."""
 
     @pytest.fixture()
     def path(self, tmp_path, default_cfg):
@@ -486,9 +487,10 @@ class TestQueryPlan:
                 s.query_attribute(table, attrs, locs, T0, T0 + timedelta(days=2))
         assert main(["export", table, "--store", str(path),
                      "--csv", str(tmp_path / "all.csv")]) == 0
-        assert len(seen) == 3
-        # The export reads every location of the table.
-        assert f"IN ({', '.join('?' * len(ids))})" in seen[-1][0]
+        # The export reads every location of the table, one statement each.
+        assert len(seen) == 2 + len(ids)
+        assert [args[0] for _, args in seen[2:]] == ids
+        assert all("IN (?)" in sql for sql, _ in seen[2:])
 
         ts_col, loc_col = TABLE_COLUMNS[table][1], TABLE_COLUMNS[table][-1]
         with Store(path) as s:
@@ -587,8 +589,14 @@ class TestCsv:
 
     def test_export_to_file(self, result, tmp_path):
         dest = tmp_path / "out.csv"
-        text = export_csv(result, dest)
-        assert dest.read_text() == text
+        assert export_csv(result, dest) is None
+        assert dest.read_text() == export_csv(result)
+
+    def test_export_iterates_rows_once_into_the_file(self, result, tmp_path):
+        dest = tmp_path / "out.csv"
+        streamed = dataclasses.replace(result, rows=iter(result.rows))
+        export_csv(streamed, dest)
+        assert dest.read_text() == export_csv(result)
 
     def test_header_only_round_trip(self):
         empty = QueryResult(kind="traffics",
@@ -763,3 +771,58 @@ class TestTimestampFirstStore:
         new_out.mkdir()
         assert (self._answers(old, old_out, capsys)
                 == self._answers(new, new_out, capsys))
+
+
+class TestPerLocationExportBytes:
+    """``export`` and ``query --csv`` read one location at a time and
+    write the bytes that one ``query_attribute`` call over the same ids
+    gives, on a store of either key order."""
+
+    ALL_TIME = (datetime(1000, 1, 1), datetime(9999, 12, 31, 23, 59, 59))
+    WINDOWS = {
+        "all": ([], ALL_TIME),
+        "from-to": (["--from", "2016-05-15 06:30:00", "--to", "2016-05-16"],
+                    (datetime(2016, 5, 15, 6, 30), datetime(2016, 5, 16, 23, 59, 59))),
+        "from": (["--from", "2016-05-16 07:00:00"], (datetime(2016, 5, 16, 7), ALL_TIME[1])),
+    }
+
+    @pytest.fixture(scope="class", params=["location_first", "timestamp_first"])
+    def path(self, request, tmp_path_factory, tiny_cfg):
+        path = tmp_path_factory.mktemp(request.param) / "obs.db"
+        if request.param == "timestamp_first":
+            conn = sqlite3.connect(path)
+            for sql in _TIMESTAMP_FIRST_DDL.values():
+                conn.execute(sql)
+            conn.commit()
+            conn.close()
+        with Store(path) as s:
+            bootstrap_store(s, tiny_cfg)
+            for day in (date(2016, 5, 16), date(2016, 5, 17)):
+                run_day(build_plan(tiny_cfg.windows, tiny_cfg.routes, day),
+                        SynthSource(tiny_cfg.profile), s, tiny_cfg)
+        return path
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("loc", [None, "2,1", "1,2,1,1", "1,99", ""],
+                             ids=["every", "unsorted", "duplicated", "unknown", "empty"])
+    @pytest.mark.parametrize("table", RECORD_TABLES)
+    def test_same_bytes_as_one_call(self, path, tmp_path, capsys, table, loc, window):
+        flags, (start, end) = self.WINDOWS[window]
+        attrs = queryable_attributes(table)
+        with Store(path) as s:
+            ids = (sorted(s.location_ids(LOCATION_CATALOG[table]).values())
+                   if loc is None else [int(t) for t in loc.split(",") if t])
+            whole = s.query_attribute(table, attrs, ids, start, end)
+            some = s.query_attribute(table, attrs[::-1][:3], ids, start, end)
+        if loc is None:
+            assert whole.rows  # every table holds rows
+        loc_flags = [] if loc is None else ["--loc", loc]
+        for argv, want in (
+                (["export", table], whole),
+                (["query", table, "--attrs", ",".join(attrs[::-1][:3])], some)):
+            dest, ref = tmp_path / "got.csv", tmp_path / "want.csv"
+            assert main([*argv, *loc_flags, *flags, "--store", str(path),
+                         "--csv", str(dest)]) == 0
+            assert capsys.readouterr().out == f"wrote {len(want)} rows to {dest}\n"
+            ref.write_text(export_csv(want))
+            assert dest.read_bytes() == ref.read_bytes()
