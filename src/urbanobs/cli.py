@@ -13,17 +13,14 @@ store path is ``--store``, else ``$URBANOBS_STORE``, else the config's
 
 ``main`` reads a plain command line without building a parser. One
 table, ``_COMMANDS``, gives each command's help, handler and argument
-specs; the specs drive the direct read, the single-command parser and
-the full ``build_argparser()``. After a command name, a line is read
-directly when every word starting with ``-`` is one of the command's
-exact long flags, given once and followed by a value word that does
-not start with ``-``; the other words fill the command's positionals
-exactly; every required option is present; and every type and choice
-holds. argparse parses every other line: help, abbreviations,
-``--x=y``, ``--``, repeated options, dash-led values, missing or bad
-values and extra words. Help, usage and error texts are the full
-parser's, byte for byte; any argv that does not start with a command
-name goes through the full parser.
+specs; the specs drive the direct read and ``build_argparser()``. After
+a command name, a line is read directly when every word starting with
+``-`` is one of the command's exact long flags, given once and followed
+by a value word that does not start with ``-``; the other words fill
+the command's positionals exactly; every required option is present;
+and every type and choice holds. The full parser reads every other
+line: help, abbreviations, ``--x=y``, ``--``, repeated options,
+dash-led values, missing or bad values and extra words.
 """
 
 from __future__ import annotations
@@ -321,11 +318,6 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(p: argparse.ArgumentParser, specs) -> None:
-    for flag, kwargs in specs:
-        p.add_argument(flag, **kwargs)
-
-
 def build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="urbanobs",
@@ -334,16 +326,10 @@ def build_argparser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, func, specs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_arguments(p, specs)
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return ap
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, as ``build_argparser`` makes it."""
-    p = argparse.ArgumentParser(prog=f"urbanobs {name}")
-    _add_arguments(p, _COMMANDS[name][2])
-    return p
 
 
 def _read_direct(specs, words: list[str]) -> argparse.Namespace | None:
@@ -385,25 +371,16 @@ def _read_direct(specs, words: list[str]) -> argparse.Namespace | None:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """What ``build_argparser().parse_args(argv)`` gives, building less.
-
-    When argv starts with a command name, a plain rest of the line (see
-    ``_read_direct``) builds no parser at all; any other rest goes to
-    that command's parser alone, and words it leaves over get the full
-    parser's ``unrecognized arguments`` error.
-    """
+    """What ``build_argparser().parse_args(argv)`` gives, building no
+    parser when a command name starts a plain line (see ``_read_direct``)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in _COMMANDS:
-        return build_argparser().parse_args(argv)
-    name = argv[0]
-    args = _read_direct(_COMMANDS[name][2], argv[1:])
-    if args is None:
-        args, extras = _command_parser(name).parse_known_args(argv[1:])
-        if extras:
-            build_argparser().error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = name
-    args.func = _COMMANDS[name][1]
-    return args
+    if argv and argv[0] in _COMMANDS:
+        _, func, specs = _COMMANDS[argv[0]]
+        args = _read_direct(specs, argv[1:])
+        if args is not None:
+            args.command, args.func = argv[0], func
+            return args
+    return build_argparser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -304,6 +304,16 @@ _INSERT_SQL = {
     for t in RECORD_TABLES
 }
 
+# One statement per catalog entry or code, keyed by the second column:
+# a new key is inserted, a stored one keeps its id and the rest is rewritten.
+_UPSERT_SQL = {
+    t: (f"INSERT INTO {t} ({', '.join(TABLE_COLUMNS[t][1:])}) "
+        f"VALUES ({', '.join('?' * (len(TABLE_COLUMNS[t]) - 1))}) "
+        f"ON CONFLICT({TABLE_COLUMNS[t][1]}) DO UPDATE SET "
+        f"{', '.join(f'{c} = excluded.{c}' for c in TABLE_COLUMNS[t][2:])}")
+    for t in (*LOCATION_CATALOG.values(), *LOOKUP_TABLES)
+}
+
 
 def _insert_plan(table: str) -> tuple:
     """How a record becomes its row: table, location catalog and noun,
@@ -351,9 +361,11 @@ class Store:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _execute(self, sql: str, args: tuple = ()):
+    def _execute(self, sql: str, args: Sequence = ()) -> list:
+        """Run one statement and return its rows, fetched inside the one
+        fault boundary, so a read failing midway is StorageUnavailable too."""
         try:
-            return self._conn.execute(sql, args)
+            return self._conn.execute(sql, args).fetchall()
         except sqlite3.IntegrityError:
             raise
         except sqlite3.DatabaseError as exc:
@@ -378,10 +390,8 @@ class Store:
         """
         with self.deferred():
             for name, sql in _SCHEMA.items():
-                row = self._execute(
-                    "SELECT name FROM sqlite_master WHERE type='table' AND name=?",
-                    (name,)).fetchone()
-                if row is None:
+                if not self._execute("SELECT name FROM sqlite_master "
+                                     "WHERE type='table' AND name=?", (name,)):
                     self._execute(sql)
                     continue
                 have = tuple(r[1] for r in self._execute(
@@ -439,34 +449,20 @@ class Store:
         table = _CATALOG_OF_ENTRY.get(type(loc))
         if table is None:
             raise StorageError(f"not a location object: {loc!r}")
-        pk, _, *cols = TABLE_COLUMNS[table]
+        pk, *cols = TABLE_COLUMNS[table]
         # sqlite3's date adapter is deprecated: dates go in as ISO text.
         values = [v.isoformat() if isinstance(v, date) else v
                   for v in (getattr(loc, c) for c in cols)]
-        row = self._execute(f"SELECT {pk} FROM {table} WHERE file_id = ?",
-                            (loc.file_id,)).fetchone()
-        if row is not None:
-            sets = ", ".join(f"{c} = ?" for c in cols)
-            self._execute(f"UPDATE {table} SET {sets} WHERE {pk} = ?",
-                          (*values, row[0]))
-            return row[0]
-        marks = ", ".join("?" * (len(cols) + 1))
-        cur = self._execute(
-            f"INSERT INTO {table} (file_id, {', '.join(cols)}) VALUES ({marks})",
-            (loc.file_id, *values))
-        return cur.lastrowid
+        self._execute(_UPSERT_SQL[table], values)
+        return self._execute(f"SELECT {pk} FROM {table} WHERE file_id = ?",
+                             (loc.file_id,))[0][0]
 
     def seed_lookup(self, table: str, entries: Iterable[Lookup]) -> None:
         """Load or refresh code-table rows; idempotent per code."""
         if table not in LOOKUP_TABLES:
             raise StorageError(f"not a lookup table: {table!r}")
-        code_col = TABLE_COLUMNS[table][1]
         for e in entries:
-            self._execute(
-                f"INSERT INTO {table} ({code_col}, description) VALUES (?, ?) "
-                f"ON CONFLICT({code_col}) DO UPDATE "
-                f"SET description = excluded.description",
-                (e.code, e.description))
+            self._execute(_UPSERT_SQL[table], (e.code, e.description))
 
     def location_ids(self, table: str) -> dict[str, int]:
         """file_id -> row id for one location catalog."""
@@ -482,12 +478,12 @@ class Store:
         if cached is not None:
             return cached
         pk, key_col = TABLE_COLUMNS[table][:2]
-        row = self._execute(
-            f"SELECT {pk} FROM {table} WHERE {key_col} = ?", (key,)).fetchone()
-        if row is None:
+        rows = self._execute(
+            f"SELECT {pk} FROM {table} WHERE {key_col} = ?", (key,))
+        if not rows:
             raise ReferentialError(f"unknown {what} {key!r} (table {table})")
-        self._id_cache[(table, key)] = row[0]
-        return row[0]
+        self._id_cache[(table, key)] = rows[0][0]
+        return rows[0][0]
 
     # -- record inserts ------------------------------------------------------
 
@@ -561,7 +557,7 @@ class Store:
                f"AND t.{ts_col} BETWEEN ? AND ? "
                f"ORDER BY t.{loc_col}, t.{ts_col}")
         args = (*location_ids, _ts_text(start), _ts_text(end))
-        rows = tuple(self._execute(sql, args).fetchall())
+        rows = tuple(self._execute(sql, args))
         return QueryResult(kind=table, columns=columns, rows=rows)
 
     def fetch_record(self, table: str, location_id: int, ts: datetime) -> dict | None:
@@ -575,10 +571,10 @@ class Store:
 
     def record_count(self, table: str) -> int:
         table = resolve_table(table)
-        return self._execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        return self._execute(f"SELECT COUNT(*) FROM {table}")[0][0]
 
     def all_counts(self) -> dict[str, int]:
-        return {name: self._execute(f"SELECT COUNT(*) FROM {name}").fetchone()[0]
+        return {name: self._execute(f"SELECT COUNT(*) FROM {name}")[0][0]
                 for name in _SCHEMA}
 
     # -- accounting report ---------------------------------------------------
@@ -597,7 +593,7 @@ class Store:
             counts = ", ".join(f"COUNT({col})" for col in columns)
             months, *nonempty = self._execute(
                 f"SELECT COUNT(DISTINCT substr({TABLE_COLUMNS[table][1]}, 1, 7)), "
-                f"{counts} FROM {table}").fetchone()
+                f"{counts} FROM {table}")[0]
             for col, n in zip(columns, nonempty):
                 out.append(SummaryRow(table, col, n, n / months if months else 0.0))
         return out
@@ -617,7 +613,7 @@ class Store:
                 n = self._execute(
                     f"SELECT COUNT(*) FROM {table} t LEFT JOIN {target} x "
                     f"ON t.{col} = x.{pk} WHERE t.{col} IS NOT NULL "
-                    f"AND x.{pk} IS NULL").fetchone()[0]
+                    f"AND x.{pk} IS NULL")[0][0]
                 if n:
                     problems.append(f"{table}.{col}: {n} rows point nowhere")
         return problems

@@ -719,6 +719,58 @@ class TestNotADatabase:
             ["notes.txt", "tiny.cfg"]
 
 
+class _MalformedCursor:
+    """A cursor whose rows cannot be read, as on a corrupt page."""
+
+    def _fail(self, *args):
+        raise sqlite3.DatabaseError("database disk image is malformed")
+
+    fetchall = fetchone = __iter__ = _fail
+
+
+def _weathers_malformed_after(good_reads: int):
+    """sqlite3.connect, whose connections read the weathers table
+    ``good_reads`` times and then find its rows malformed."""
+    real_connect = sqlite3.connect
+    reads = 0
+
+    class Connection(sqlite3.Connection):
+        def execute(self, sql, *args):
+            nonlocal reads
+            cursor = super().execute(sql, *args)
+            if "FROM weathers" in sql:
+                reads += 1
+                if reads > good_reads:
+                    return _MalformedCursor()
+            return cursor
+
+    def connect(*args, **kwargs):
+        return real_connect(*args, factory=Connection, **kwargs)
+    return connect
+
+
+class TestReadFailsAfterFirstRow:
+    """A store read that fails while its rows are fetched is an error,
+    not a traceback."""
+
+    @pytest.mark.parametrize("argv, good_reads", [
+        (["export", "weathers", "--csv", "out.csv"], 1),  # the second location
+        (["query", "weathers", "--attrs", "temp"], 0),
+        (["report"], 0),
+    ], ids=["export", "query", "report"])
+    def test_error_not_traceback(self, cli, collected, tmp_path, monkeypatch,
+                                 argv, good_reads):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sqlite3, "connect",
+                            _weathers_malformed_after(good_reads))
+        out, err = cli(*argv, expect=1)
+        assert (out, err) == (
+            "", f"error: cannot use store at {collected}: "
+                f"database disk image is malformed\n")
+        if good_reads:  # the first location's rows are written
+            assert (tmp_path / "out.csv").read_text().count("\n") > 1
+
+
 class TestFixtureSource:
     def _write_corpus(self, root: Path, cfg) -> None:
         """Capture one synth day as fixture files the run can replay."""

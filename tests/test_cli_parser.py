@@ -227,7 +227,8 @@ def test_direct_read_is_argparse(name):
         direct = cli._read_direct(specs, words)
         paths["argparse" if direct is None else "direct"] += 1
         if direct is not None:
-            args, extras = cli._command_parser(name).parse_known_args(words)
+            direct.command, direct.func = name, cli._COMMANDS[name][1]
+            args, extras = cli.build_argparser().parse_known_args([name, *words])
             assert (args, extras) == (direct, [])
 
     check()
