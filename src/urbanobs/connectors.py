@@ -167,9 +167,9 @@ def _parse_timestamp_text(text: str) -> datetime:
     return datetime.strptime(text, TIMESTAMP_FMT)
 
 
-def _check_timestamp_text(text: str, origin: str, line_no: int) -> None:
+def _check_timestamp_text(text: str, origin: str, line_no: int) -> datetime:
     try:
-        _parse_timestamp_text(text)
+        return _parse_timestamp_text(text)
     except ValueError:
         raise ParseError(f"bad timestamp {text!r}", origin=origin, line_no=line_no)
 
@@ -194,70 +194,83 @@ def parse_weather_observations(
     """Parse a weather payload against a station catalog.
 
     Observations for station ids missing from the catalog are
-    quarantined, not fatal. Structural defects (unknown key, duplicate
-    key, airport-only key on a personal station, broken timestamp) stop
-    the parse with a positioned error.
+    quarantined, not fatal, and so is a line whose station and local
+    time an earlier line of the payload already gave (the hour a
+    daylight-saving change repeats). Structural defects (unknown key,
+    duplicate key, airport-only key on a personal station, broken
+    timestamp) stop the parse with a positioned error.
     """
     if payload.source_kind != "weather":
         raise PreconditionError(f"expected a weather payload, got {payload.source_kind}")
     readings: list[RawReading] = []
     quarantined: list[QuarantinedLine] = []
+    # (station, local time) -> index in readings of the line that gave it
+    first: dict[tuple[str, datetime], int] = {}
     for line_no, line in _content_lines(payload.body):
+        fields = None
         m = _FAST_LINE_RE.fullmatch(line)
         if m is not None:
             file_id, ts_text, rest = m.groups()
             pairs = _FAST_FIELD_RE.findall(rest)
-            fields = {key: quoted or bare for key, quoted, bare in pairs}
+            found = {key: quoted or bare for key, quoted, bare in pairs}
             station = stations.get(file_id)
             # Unknown stations and keys, duplicates and airport-only keys
             # on a personal station are left to the general path, which
             # quarantines them or raises the positioned error.
-            if (station is not None and len(fields) == len(pairs)
-                    and fields.keys() <= _WEATHER_KEY_SET
+            if (station is not None and len(found) == len(pairs)
+                    and found.keys() <= _WEATHER_KEY_SET
                     and (station.is_airport
-                         or _AIRPORT_ONLY_SET.isdisjoint(fields))):
-                _check_timestamp_text(ts_text, payload.origin, line_no)
-                readings.append(RawReading(
-                    kind="weather", target=file_id, timestamp=ts_text,
-                    fields=fields, origin=payload.origin,
-                    fetched_at=payload.fetched_at, station_kind=station.kind,
+                         or _AIRPORT_ONLY_SET.isdisjoint(found))):
+                ts = _check_timestamp_text(ts_text, payload.origin, line_no)
+                fields = found
+        if fields is None:
+            try:
+                tokens = shlex.split(line)
+            except ValueError as exc:
+                raise ParseError(f"unbalanced quoting: {exc}", origin=payload.origin,
+                                 line_no=line_no)
+            if len(tokens) < 2:
+                raise ParseError("observation needs a station id and a timestamp",
+                                 origin=payload.origin, line_no=line_no)
+            file_id, ts_text = tokens[0], tokens[1]
+            ts = _check_timestamp_text(ts_text, payload.origin, line_no)
+            station = stations.get(file_id)
+            if station is None:
+                quarantined.append(QuarantinedLine(
+                    origin=payload.origin, line_no=line_no, line=line,
+                    reason=f"unknown station id {file_id!r}",
                 ))
                 continue
-        try:
-            tokens = shlex.split(line)
-        except ValueError as exc:
-            raise ParseError(f"unbalanced quoting: {exc}", origin=payload.origin,
-                             line_no=line_no)
-        if len(tokens) < 2:
-            raise ParseError("observation needs a station id and a timestamp",
-                             origin=payload.origin, line_no=line_no)
-        file_id, ts_text = tokens[0], tokens[1]
-        _check_timestamp_text(ts_text, payload.origin, line_no)
-        station = stations.get(file_id)
-        if station is None:
+            personal = not station.is_airport
+            fields = {}
+            for tok in tokens[2:]:
+                key, sep, value = tok.partition("=")
+                if not sep or not key:
+                    raise ParseError(f"expected key=value, got {tok!r}",
+                                     origin=payload.origin, line_no=line_no)
+                if key not in _WEATHER_KEY_SET:
+                    raise ParseError(f"unknown weather key {key!r}",
+                                     origin=payload.origin, line_no=line_no)
+                if key in fields:
+                    raise ParseError(f"duplicate key {key!r}",
+                                     origin=payload.origin, line_no=line_no)
+                if personal and key in _AIRPORT_ONLY_SET:
+                    raise ParseError(
+                        f"key {key!r} is airport-only but {file_id} is a personal station",
+                        origin=payload.origin, line_no=line_no)
+                fields[key] = value
+        # The store keys a reading by station and local time, not zone,
+        # so a second reading of one local time would read as a replay.
+        i = first.setdefault((file_id, ts), len(readings))
+        if i != len(readings):
+            kept = readings[i]
             quarantined.append(QuarantinedLine(
                 origin=payload.origin, line_no=line_no, line=line,
-                reason=f"unknown station id {file_id!r}",
+                reason=f"repeats {kept.timestamp} "
+                       f"({kept.fields.get('time_zone') or '-'}) "
+                       f"as {fields.get('time_zone') or '-'}",
             ))
             continue
-        personal = not station.is_airport
-        fields: dict[str, str] = {}
-        for tok in tokens[2:]:
-            key, sep, value = tok.partition("=")
-            if not sep or not key:
-                raise ParseError(f"expected key=value, got {tok!r}",
-                                 origin=payload.origin, line_no=line_no)
-            if key not in _WEATHER_KEY_SET:
-                raise ParseError(f"unknown weather key {key!r}",
-                                 origin=payload.origin, line_no=line_no)
-            if key in fields:
-                raise ParseError(f"duplicate key {key!r}",
-                                 origin=payload.origin, line_no=line_no)
-            if personal and key in _AIRPORT_ONLY_SET:
-                raise ParseError(
-                    f"key {key!r} is airport-only but {file_id} is a personal station",
-                    origin=payload.origin, line_no=line_no)
-            fields[key] = value
         readings.append(RawReading(
             kind="weather", target=file_id, timestamp=ts_text, fields=fields,
             origin=payload.origin, fetched_at=payload.fetched_at,

@@ -175,12 +175,11 @@ def build_plan(windows: Sequence[CadenceWindow], routes: Sequence,
                              POLLUTION_SCRAPE, ALL_TARGETS))
 
     entries.sort(key=lambda e: (e.at, e.kind, e.target))
-    seen = set()
-    for e in entries:
-        key = (e.at, e.kind, e.target)
-        if key in seen:
-            raise ConfigError(f"duplicate plan entry {key}")
-        seen.add(key)
+    # Sorted, equal entries are neighbours. Neighbours nearly always
+    # differ in target, so that field is compared first.
+    for a, b in zip(entries, entries[1:]):
+        if a.target == b.target and a.at == b.at and a.kind == b.kind:
+            raise ConfigError(f"duplicate plan entry {(b.at, b.kind, b.target)}")
     return CadencePlan(day=day, entries=tuple(entries))
 
 

@@ -348,7 +348,6 @@ class Store:
             self._conn.execute("PRAGMA foreign_keys = ON")
         except sqlite3.Error as exc:
             raise StorageUnavailable(f"cannot open store at {self.path}: {exc}")
-        self._deferred = 0
         # (table, file_id/code) -> row id; a committed id never changes.
         self._id_cache: dict[tuple[str, str], int] = {}
 
@@ -413,7 +412,21 @@ class Store:
             raise StorageUnavailable(
                 f"rollback failed on {self.path}: {exc}") from exc
 
-    def _commit(self) -> None:
+    @contextmanager
+    def deferred(self):
+        """One transaction: committed on a normal exit, rolled back on an
+        exception. Outside it, each statement commits on its own; a block
+        opened inside a transaction joins it.
+        """
+        if self._conn.in_transaction:
+            yield self
+            return
+        self._execute("BEGIN")
+        try:
+            yield self
+        except BaseException:
+            self._rollback()
+            raise
         try:
             self._conn.commit()
         except sqlite3.DatabaseError as exc:
@@ -421,26 +434,6 @@ class Store:
             self._rollback()
             raise StorageUnavailable(
                 f"commit failed on {self.path}: {exc}") from exc
-
-    @contextmanager
-    def deferred(self):
-        """One transaction: committed on a normal exit, rolled back on an
-        exception. Outside it, each statement commits on its own; a
-        nested block joins the outermost one.
-        """
-        if not self._deferred:
-            self._execute("BEGIN")
-        self._deferred += 1
-        try:
-            yield self
-        except BaseException:
-            self._deferred -= 1
-            if not self._deferred:
-                self._rollback()
-            raise
-        self._deferred -= 1
-        if not self._deferred:
-            self._commit()
 
     # -- locations and lookups ---------------------------------------------
 

@@ -221,9 +221,9 @@ def _begin(raw: RawReading, kind: str) -> tuple[datetime, ValidationReport]:
 def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, ValidationReport]:
     """Clean one weather candidate; bad fields become NA, never fatal.
 
-    Only a missing timestamp or location rejects the record. A value a
-    rules file admits past WeatherRecord's own limits raises
-    OutOfRangeError.
+    An empty zone, code or METAR text is a bad field too. Only a missing
+    timestamp or location rejects the record. A value a rules file
+    admits past WeatherRecord's own limits raises OutOfRangeError.
     """
     ts, report = _begin(raw, "weather")
     values: dict[str, object] = {}
@@ -258,10 +258,13 @@ def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, Va
         else:
             report.add("wdire", wdire, "16-point compass code")
 
-    for attr in ("cond", "icon", "metar"):
+    # An empty code or text would be stored as '' and read back as NA.
+    for attr in ("time_zone", "cond", "icon", "metar"):
         text = raw.fields.get(attr)
-        if text is not None:
+        if text:
             values[attr] = text
+        elif text is not None:
+            report.add(attr, text, "non-empty text")
 
     if raw.station_kind == "pws" and not _AIRPORT_ONLY_SET.isdisjoint(values):
         # The parser already refuses airport-only keys on personal
@@ -272,7 +275,7 @@ def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, Va
                 del values[attr]
 
     record = WeatherRecord(timestamp=ts, station=raw.target,
-                           tz=raw.fields.get("time_zone"), **values)
+                           tz=values.pop("time_zone", None), **values)
     return record, report
 
 

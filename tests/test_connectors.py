@@ -137,6 +137,32 @@ class TestWeatherParsing:
                 SourcePayload("traffic", FETCHED, "x 2016-05-16T00:00:00 1 2 3\n", "x"),
                 stations)
 
+    @pytest.mark.parametrize("second, reason", [
+        ("pws_obispado 2016-05-16T08:05:00 temp=21 time_zone=CDT",
+         "repeats 2016-05-16T08:05:00 (-) as CDT"),
+        ("pws_obispado 2016-05-16T8:05:00 temp=21",
+         "repeats 2016-05-16T08:05:00 (-) as -"),
+        ('pws_obispado "2016-05-16T08:05:00" temp=21',
+         "repeats 2016-05-16T08:05:00 (-) as -"),
+    ], ids=["zone", "unpadded", "shlex"])
+    def test_repeated_local_time_is_quarantined(self, stations, second, reason):
+        body = ("pws_obispado 2016-05-16T08:05:00 temp=20\n"
+                "pws_obispado 2016-05-16T08:10:00 temp=20\n" + second + "\n")
+        readings, quarantined = parse_weather_observations(
+            SourcePayload("weather", FETCHED, body, "feed"), stations)
+        assert [r.timestamp for r in readings] == [
+            "2016-05-16T08:05:00", "2016-05-16T08:10:00"]
+        assert [(q.line_no, q.line, q.reason) for q in quarantined] == [
+            (3, second, reason)]
+
+    def test_unknown_key_on_a_repeated_time_still_fails(self, stations):
+        """A line the parse refuses is never the first of its time."""
+        body = ("pws_obispado 2016-05-16T08:05:00 bogus_key=1\n"
+                "pws_obispado 2016-05-16T08:05:00 temp=20\n")
+        with pytest.raises(ParseError, match="bogus_key"):
+            parse_weather_observations(
+                SourcePayload("weather", FETCHED, body, "x"), stations)
+
 
 ROUTE = TrafficRoute(file_id="downtown-aeropuerto",
                      start_lat=25.6695, start_long=-100.3095,
@@ -252,6 +278,28 @@ class TestPollutionParsing:
                "station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 41\n")
         with pytest.raises(ConflictError):
             parse_pollution_tables(SourcePayload("pollution", FETCHED, bad, "x"))
+
+    @pytest.mark.parametrize("body, message, line_no", [
+        ("station=sima_centro contaminant=PM10\n02:00 40\n",
+         "block header needs station=, contaminant= and date=", 1),
+        ("station=sima_centro station=x date=2016-05-16\n02:00 40\n",
+         "block header needs station=, contaminant= and date=", 1),
+        ("# header\nstation=sima_centro contaminant=PM10 day=2016-05-16\n",
+         "bad header field 'day=2016-05-16'", 2),
+        ("02:00 40\n", "hour line before any block header", 1),
+        ("station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 40 41\n",
+         "expected 'HH:MM value', got '02:00 40 41'", 2),
+        ("station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 40\n\n"
+         "2 o'clock 40\n", "expected 'HH:MM value', got \"2 o'clock 40\"", 4),
+        ("station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 40\n"
+         "25:00 40\n", "bad hour '25:00'", 3),
+    ], ids=["header-tokens", "header-keys", "header-field", "no-header",
+            "hour-tokens", "hour-words", "hour"])
+    def test_structural_errors_are_positioned(self, body, message, line_no):
+        with pytest.raises(ParseError) as err:
+            parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+        assert str(err.value) == f"{message} [x:{line_no}]"
+        assert err.value.line_no == line_no
 
     def test_ascii_dash_also_means_na(self):
         body = "station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 -\n"

@@ -63,8 +63,9 @@ def stations(default_cfg):
 # -- weather line parse ---------------------------------------------------------
 
 def _reference_parse_weather(payload, stations):
-    """The weather parse before the key=value path: shlex tokens, then the token loop."""
-    readings, quarantined = [], []
+    """The weather parse before the key=value path: shlex tokens, then the
+    token loop, then the check for a station and local time given twice."""
+    readings, quarantined, first = [], [], {}
     for line_no, line in connectors._content_lines(payload.body):
         try:
             tokens = shlex.split(line)
@@ -103,10 +104,19 @@ def _reference_parse_weather(payload, stations):
                     f"key {key!r} is airport-only but {file_id} is a personal station",
                     origin=payload.origin, line_no=line_no)
             fields[key] = value
-        readings.append(RawReading(
+        key = (file_id, datetime.strptime(ts_text, connectors.TIMESTAMP_FMT))
+        if key in first:
+            zones = (first[key].fields.get("time_zone"), fields.get("time_zone"))
+            quarantined.append(connectors.QuarantinedLine(
+                origin=payload.origin, line_no=line_no, line=line,
+                reason=f"repeats {first[key].timestamp} ({zones[0] or '-'}) "
+                       f"as {zones[1] or '-'}"))
+            continue
+        first[key] = RawReading(
             kind="weather", target=file_id, timestamp=ts_text, fields=fields,
             origin=payload.origin, fetched_at=payload.fetched_at,
-            station_kind=station.kind))
+            station_kind=station.kind)
+        readings.append(first[key])
     return readings, quarantined
 
 
@@ -297,17 +307,19 @@ def _ref_validate_weather(raw, rules):
             values["wdire"] = wdire
         else:
             report.add("wdire", wdire, "16-point compass code")
-    for attr in ("cond", "icon", "metar"):
+    for attr in ("time_zone", "cond", "icon", "metar"):
         text = raw.fields.get(attr)
-        if text is not None:
+        if text == "":
+            report.add(attr, text, "non-empty text")
+        elif text is not None:
             values[attr] = text
     if raw.station_kind == "pws":
         for attr in AIRPORT_ONLY_ATTRIBUTES:
             if attr in values:
                 report.add(attr, str(raw.fields.get(attr)), "airport-only attribute")
                 del values[attr]
-    record = WeatherRecord(timestamp=ts, station=raw.target,
-                           tz=raw.fields.get("time_zone"), **values)
+    tz = values.pop("time_zone", None)
+    record = WeatherRecord(timestamp=ts, station=raw.target, tz=tz, **values)
     return record, report
 
 

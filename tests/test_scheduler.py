@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import shlex
 import sqlite3
 from contextlib import contextmanager
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
+from unittest import mock
 
 import pytest
 
+from urbanobs import connectors
 from urbanobs.connectors import SourcePayload
 from urbanobs.errors import (
     ConfigError,
@@ -30,9 +33,9 @@ from urbanobs.scheduler import (
     run_day,
 )
 from urbanobs.cli import bootstrap_store
-from urbanobs.storage import Store
+from urbanobs.storage import Store, export_csv, import_csv, queryable_attributes
 from urbanobs.synth import SynthSource
-from urbanobs.validation import RuleSet
+from urbanobs.validation import RuleSet, validate_weather
 
 DAY = date(2016, 5, 16)
 
@@ -143,6 +146,15 @@ class TestBuildPlan:
               CadenceWindow(TRAFFIC_POLL, 600, 720, 30)]
         plan = build_plan(ws, tiny_cfg.routes, DAY)
         assert plan.count(TRAFFIC_POLL) == (20 + 4) * len(tiny_cfg.routes)
+
+    def test_duplicate_entry_rejected(self, tiny_cfg):
+        route = tiny_cfg.routes[0]
+        ws = [CadenceWindow(TRAFFIC_POLL, 360, 420, 30)]
+        with pytest.raises(ConfigError) as err:
+            build_plan(ws, [route, tiny_cfg.routes[1], route], DAY)
+        assert str(err.value) == (
+            f"duplicate plan entry (datetime.datetime(2016, 5, 16, 6, 0), "
+            f"'traffic_poll', {route.file_id!r})")
 
     def test_two_daily_windows_rejected(self, tiny_cfg):
         ws = [CadenceWindow(POLLUTION_SCRAPE, 1410, 1440, 30),
@@ -389,6 +401,28 @@ class TestRunDay:
         assert summary.failures == [
             f"{bad['ts']} apt_one: unknown cond code 'Sandstorm' (table conds)"]
 
+    def test_bad_traffic_measure_rejects_its_record(self, tiny_cfg, tiny_store,
+                                                    plan):
+        rejected = {}
+
+        class DetourSource(SynthSource):
+            def fetch_traffic(self, route, at):
+                p = super().fetch_traffic(route, at)
+                if rejected:
+                    return p
+                file_id, ts, _dist, t_std, t_curr = p.body.split()
+                rejected.update(ts=ts, route=file_id)
+                return SourcePayload("traffic", p.fetched_at,
+                                     f"{file_id} {ts} abc {t_std} {t_curr}\n",
+                                     p.origin)
+
+        summary = run_day(plan, DetourSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        assert (summary.stored, summary.rejected) == (72 + 3 + 22, 1)
+        assert summary.failures == [
+            f"traffic record at {rejected['ts']} for {rejected['route']} "
+            f"dropped (traveldist)"]
+        assert tiny_store.all_counts()["traffics"] == 3
+
     def test_value_a_wide_rule_admits_costs_only_its_record(self, tiny_cfg,
                                                             tiny_store, plan):
         # A rules file replaces the defaults, so it can admit a humidity
@@ -452,6 +486,85 @@ class TestRunDay:
         assert counts["traffics"] == 3 * 4
         assert counts["weathers"] == 3 * 72
         assert counts["pollutions"] == 3 * 22
+
+
+class OneFeedSource:
+    """Serves one weather body for one station; every other feed is empty."""
+
+    def __init__(self, station: str, body: str) -> None:
+        self.station, self.body = station, body
+
+    def fetch_weather(self, meta, day, fetched_at=None):
+        body = (self.body if meta.station.file_id == self.station
+                else "# no observations\n")
+        return SourcePayload("weather", fetched_at, body, meta.station.file_id)
+
+
+def _backfill(cfg, store, body, day=date(2016, 10, 31), station="apt_escobedo"):
+    """run_day with only the weather backfill, which fetches the day before."""
+    plan = CadencePlan(day=day, entries=(PlanEntry(
+        datetime.combine(day, time(0, 30)), WEATHER_BACKFILL, ALL_TARGETS),))
+    sink = []
+    summary = run_day(plan, OneFeedSource(station, body), store, cfg,
+                      quarantine=sink)
+    return summary, sink
+
+
+class TestRepeatedLocalTime:
+    """The hour a daylight-saving change repeats, given twice in one payload."""
+
+    FIRST = "apt_escobedo 2016-10-30T01:30:00 temp=18.0 time_zone=CDT"
+    # The second form has a word shlex unquotes, so it skips the fast path.
+    SECOND = {"fast": "apt_escobedo 2016-10-30T01:30:00 temp=17.0 time_zone=CST",
+              "shlex": "apt_escobedo 2016-10-30T01:30:00 temp=17.0 time_zone=\"CST\""}
+
+    @pytest.mark.parametrize("path", ["fast", "shlex"])
+    def test_second_reading_is_quarantined(self, default_cfg, ready_store, path):
+        body = f"{self.FIRST}\n{self.SECOND[path]}\n"
+        with mock.patch.object(connectors.shlex, "split",
+                               wraps=shlex.split) as split:
+            summary, sink = _backfill(default_cfg, ready_store, body)
+        assert split.call_count == (path == "shlex")
+        assert (summary.stored, summary.quarantined, summary.duplicates) == (1, 1, 0)
+        assert [(q.line_no, q.reason) for q in sink] == [
+            (2, "repeats 2016-10-30T01:30:00 (CDT) as CST")]
+        loc = ready_store.location_ids("locations_w")["apt_escobedo"]
+        kept = ready_store.fetch_record("weathers", loc, datetime(2016, 10, 30, 1, 30))
+        assert (kept["temp"], kept["time_zone"]) == (18.0, "CDT")
+
+    def test_replay_of_the_payload_is_a_duplicate(self, default_cfg, ready_store):
+        body = f"{self.FIRST}\n{self.SECOND['fast']}\n"
+        _backfill(default_cfg, ready_store, body)
+        summary, _ = _backfill(default_cfg, ready_store, body)
+        assert (summary.stored, summary.quarantined, summary.duplicates) == (0, 1, 1)
+
+
+class TestEmptyTextField:
+    """An empty zone, code or METAR costs that field, not the record."""
+
+    LINE = "apt_escobedo 2016-05-15T08:00:00 temp=20.5 hum=50 {}=''"
+
+    @pytest.mark.parametrize("field", ["time_zone", "cond", "icon", "metar"])
+    def test_field_is_na_and_csv_round_trips(self, default_cfg, ready_store, field):
+        line = self.LINE.format(field)
+        summary, _ = _backfill(default_cfg, ready_store, line + "\n",
+                               day=date(2016, 5, 16))
+        assert (summary.stored, summary.rejected, summary.failures) == (1, 0, [])
+        stations = {m.station.file_id: m.station
+                    for m in default_cfg.weather_stations}
+        (raw,), _ = connectors.parse_weather_observations(
+            SourcePayload("weather", datetime(2016, 5, 16), line, "x"), stations)
+        _, report = validate_weather(raw, default_cfg.rules)
+        assert [(e.attribute, e.value, e.rule) for e in report.entries] == [
+            (field, "", "non-empty text")]
+
+        loc = ready_store.location_ids("locations_w")["apt_escobedo"]
+        at = datetime(2016, 5, 15, 8, 0)
+        result = ready_store.query_attribute(
+            "weathers", queryable_attributes("weathers"), [loc], at, at)
+        kept = dict(zip(result.columns, result.rows[0]))
+        assert (kept["temp"], kept["hum"], kept[field]) == (20.5, 50.0, None)
+        assert import_csv(export_csv(result), "weathers") == result
 
 
 class _InterruptingStore:

@@ -117,6 +117,23 @@ class TestWeather:
                 record, report = validate_weather(raw, RULES)
                 assert report.clean, report.entries
 
+    def test_cold_windy_readings_carry_a_windchill(self, default_cfg):
+        profile = dataclasses.replace(default_cfg.profile, temp_mean_c=0)
+        stations = {m.station.file_id: m.station
+                    for m in default_cfg.weather_stations}
+        windchills = substitutions = total = 0
+        for m in default_cfg.weather_stations:
+            payload = gen_weather_day(profile, m, date(2016, 1, 15))
+            readings, _ = parse_weather_observations(payload, stations)
+            for raw in readings:
+                record, report = validate_weather(raw, default_cfg.rules)
+                total += 1
+                windchills += record.windchill is not None
+                substitutions += len(report.entries)
+                if record.windchill is not None:
+                    assert record.windchill <= record.temp
+        assert (total, windchills, substitutions) == (3576, 2837, 0)
+
     def test_airport_extras(self):
         payload = gen_weather_day(SynthProfile(), meta(AIRPORT, 60), DAY)
         readings, _ = parse_weather_observations(
