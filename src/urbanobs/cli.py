@@ -29,7 +29,6 @@ import argparse
 import os
 import sys
 from datetime import date, datetime, time, timedelta
-from itertools import chain
 from pathlib import Path
 
 from . import config as config_mod
@@ -199,36 +198,6 @@ def _print_rows(result) -> None:
     sys.stdout.write("\n".join(lines))
 
 
-class _PerLocation:
-    """A query result read one location at a time, for ``export_csv``.
-
-    One ``query_attribute`` call per location id, in the order and with
-    the de-duplication of a single ``IN (...) ORDER BY loc, ts``
-    statement, so memory holds one location's rows. The first call runs
-    here, before any file is opened, so a bad attribute or range fails
-    first; with no ids it is a call with ``[]``, which checks the
-    arguments and gives the header. ``len()`` counts the rows yielded.
-    """
-
-    def __init__(self, store: Store, table: str, attributes: list[str],
-                 locs: list[int], start: datetime, end: datetime) -> None:
-        def read(ids):
-            return store.query_attribute(table, attributes, ids, start, end)
-        ids = sorted(set(locs))
-        first = read(ids[:1])
-        self.columns = first.columns
-        self._count = 0
-        self.rows = self._rows(first, read, ids[1:])
-
-    def _rows(self, first, read, rest):
-        for result in chain([first], (read([i]) for i in rest)):
-            yield from result.rows
-            self._count += len(result)
-
-    def __len__(self) -> int:
-        return self._count
-
-
 def _run_query(args, attrs: list[str] | None) -> int:
     path = _store_path(args)
     table = resolve_table(args.table)
@@ -242,7 +211,7 @@ def _run_query(args, attrs: list[str] | None) -> int:
             return 0
         if os.path.exists(args.csv) and os.path.samefile(args.csv, path):
             raise Error(f"--csv {args.csv} is the store itself")
-        result = _PerLocation(store, table, attributes, locs, start, end)
+        result = store.query_attribute(table, attributes, locs, start, end, stream=True)
         try:
             export_csv(result, args.csv)
         except OSError as exc:

@@ -495,15 +495,16 @@ class FixtureDirectorySource:
         <root>/pollution/<station_file_id>/<YYYY-MM-DD>.txt
 
     Traffic fixture files hold one record per line; the fetch picks the
-    first line whose timestamp matches the requested instant. A route's
-    day file is read once and indexed by timestamp; each poll stats it
-    and reads it again only when its size or mtime has changed.
+    line whose timestamp matches the requested instant, and fails when
+    another line at that instant differs from it. A route's day file is
+    read once and indexed by timestamp; each poll stats it and reads it
+    again only when its size or mtime has changed.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         # route file_id -> (day, path text, (st_mtime_ns, st_size),
-        # {timestamp token: line}) for the day last polled.
+        # {timestamp token: line, or "" if lines differ}) for the day last polled.
         self._traffic: dict[str, tuple[date, str, tuple[int, int] | None,
                                        dict[str, str]]] = {}
 
@@ -535,14 +536,16 @@ class FixtureDirectorySource:
             index = {}
             for _, line in _content_lines(Path(origin).read_text()):
                 tokens = line.split(None, 2)
-                if len(tokens) > 1:
-                    index.setdefault(tokens[1], line)
+                if len(tokens) > 1 and index.setdefault(tokens[1], line) != line:
+                    index[tokens[1]] = ""
             self._traffic[route.file_id] = (
                 day, origin, (st.st_mtime_ns, st.st_size), index)
         want = format_timestamp(at)
         line = index.get(want)
         if line is None:
             raise SourceError(f"no traffic fixture line at {want} in {origin}")
+        if not line:
+            raise SourceError(f"traffic fixture lines at {want} differ in {origin}")
         return SourcePayload("traffic", at, line + "\n", origin)
 
     def fetch_pollution(self, station: PollutionStation, day: date,

@@ -5,10 +5,11 @@ three location catalogs (locations_w, locations_t, locations_p) and
 four code tables (time_zones, wdires, conds, icons). Record rows point
 at locations and codes through enforced foreign keys; the natural key
 (location, timestamp) is unique per record table, which is what makes
-inserts idempotent. Its index leads with the location, so a query or
-export reads one index range per location, already in (location,
-timestamp) order, and sorts nothing. A store created with the older
-(timestamp, location) key keeps it and answers the same, only slower.
+inserts idempotent. Its index leads with the location, so a query
+reads one index range per location, already in (location, timestamp)
+order, and sorts nothing; an export is one query, streamed from its
+cursor. A store created with the older (timestamp, location) key keeps
+it and answers the same, only slower.
 
 Timestamps are stored as naive local text 'YYYY-MM-DD HH:MM:SS' next
 to a time-zone code reference, so lexicographic order is chronological
@@ -29,9 +30,10 @@ import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     MigrationRequired,
@@ -265,10 +267,25 @@ class QueryResult:
 
     kind: str  # record table name
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple, ...] | _Cursor
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+class _Cursor:
+    """Rows read once, as iterated; ``len()`` counts the rows read so far."""
+
+    def __init__(self, batches: Iterator[list]) -> None:
+        self._batches, self._read = batches, 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        for batch in self._batches:
+            self._read += len(batch)
+            yield from batch
+
+    def __len__(self) -> int:
+        return self._read
 
 
 @dataclass(frozen=True)
@@ -360,11 +377,17 @@ class Store:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _execute(self, sql: str, args: Sequence = ()) -> list:
-        """Run one statement and return its rows, fetched inside the one
-        fault boundary, so a read failing midway is StorageUnavailable too."""
+    def _batches(self, sql: str, args: Sequence = ()) -> Iterator[list]:
+        """Run one statement at the first ``next()``, which yields an
+        empty batch, then yield its rows a batch at a time, all inside
+        the one fault boundary, so a read failing midway is
+        StorageUnavailable too. Batches keep SQLite's steps together:
+        stepping between CSV rows made a 7-day export about 5% slower."""
         try:
-            return self._conn.execute(sql, args).fetchall()
+            cursor = self._conn.execute(sql, args)
+            yield []
+            while batch := cursor.fetchmany(64):
+                yield batch
         except sqlite3.IntegrityError:
             raise
         except sqlite3.DatabaseError as exc:
@@ -375,6 +398,10 @@ class Store:
             # Locked, read-only, full, failing or not SQLite: it is unusable.
             raise StorageUnavailable(
                 f"cannot use store at {self.path}: {exc}") from exc
+
+    def _execute(self, sql: str, args: Sequence = ()) -> list:
+        """Run one statement and return its rows."""
+        return list(chain.from_iterable(self._batches(sql, args)))
 
     # -- schema ---------------------------------------------------------
 
@@ -514,13 +541,17 @@ class Store:
         location_ids: Sequence[int],
         start: datetime,
         end: datetime,
+        *,
+        stream: bool = False,
     ) -> QueryResult:
         """Attribute values over a time range at a set of locations.
 
         The range is inclusive on both ends. Code-backed attributes
         come back as their codes. Unknown attribute or table names
         raise; an empty location list returns an empty result; location
-        ids that match nothing simply contribute no rows.
+        ids that match nothing simply contribute no rows. The rows are
+        one statement's, in (location, time) order; with ``stream`` the
+        statement has run on return and ``rows`` reads its cursor once.
         """
         table = resolve_table(table)
         if start > end:
@@ -540,8 +571,6 @@ class Store:
         if not attributes:
             raise QueryError("query needs at least one attribute")
         columns = ("timestamp", "location", *attributes)
-        if not location_ids:
-            return QueryResult(kind=table, columns=columns, rows=())
         ts_col, loc_col = TABLE_COLUMNS[table][1], TABLE_COLUMNS[table][-1]
         marks = ", ".join("?" * len(location_ids))
         sql = (f"SELECT t.{ts_col}, t.{loc_col}, {', '.join(exprs)} "
@@ -550,7 +579,9 @@ class Store:
                f"AND t.{ts_col} BETWEEN ? AND ? "
                f"ORDER BY t.{loc_col}, t.{ts_col}")
         args = (*location_ids, _ts_text(start), _ts_text(end))
-        rows = tuple(self._execute(sql, args))
+        batches = self._batches(sql, args)
+        next(batches)
+        rows = _Cursor(batches) if stream else tuple(chain.from_iterable(batches))
         return QueryResult(kind=table, columns=columns, rows=rows)
 
     def fetch_record(self, table: str, location_id: int, ts: datetime) -> dict | None:
@@ -612,30 +643,21 @@ class Store:
         return problems
 
 
-def _write_csv(out, result) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(result.columns)
-    w.writerows(result.rows)
-
-
 def export_csv(result, dest=None) -> str | None:
     """Serialize a query result to CSV; NA becomes the empty cell.
 
-    ``result`` is anything with ``columns`` and iterable ``rows``. The
-    csv module writes None as an empty cell and numbers as str() would,
-    so rows go out unconverted. Without ``dest`` the CSV text is
-    returned. With ``dest`` the file is opened once, as
-    ``Path.write_text`` opens it, and the rows are written as they are
-    iterated, so no text is built and None is returned; an error while
-    iterating leaves the rows written so far.
+    The csv module writes None as an empty cell and numbers as str()
+    would, so rows go out unconverted. Without ``dest`` the CSV text is
+    returned. With ``dest`` the file is opened once, as ``Path.write_text``
+    opens it, and a streamed result's rows are written as they are read,
+    so no text is built and None is returned; a read failing midway
+    leaves the rows written so far.
     """
-    if dest is None:
-        buf = io.StringIO()
-        _write_csv(buf, result)
-        return buf.getvalue()
-    with open(dest, "w") as out:
-        _write_csv(out, result)
-    return None
+    with io.StringIO() if dest is None else open(dest, "w") as out:
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(result.columns)
+        w.writerows(result.rows)
+        return out.getvalue() if dest is None else None
 
 
 def import_csv(text: str, table: str) -> QueryResult:

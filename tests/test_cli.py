@@ -3,9 +3,11 @@ from __future__ import annotations
 import csv
 import io
 import os
+import shutil
 import sqlite3
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urbanobs import cli as cli_mod, config as config_mod
-from urbanobs.cli import main
+from urbanobs.cli import bootstrap_store, main
 from urbanobs.config import STORE_ENV_VAR
+from urbanobs.connectors import FixtureDirectorySource
 from urbanobs.errors import RunAborted, StorageUnavailable
 from urbanobs.storage import (
     QueryResult,
@@ -24,11 +27,12 @@ from urbanobs.storage import (
     queryable_attributes,
 )
 from urbanobs.synth import (
+    SynthSource,
     gen_pollution_day,
     gen_traffic_response,
     gen_weather_day,
 )
-from urbanobs.scheduler import TRAFFIC_POLL, RunSummary, build_plan
+from urbanobs.scheduler import TRAFFIC_POLL, RunSummary, build_plan, run_day
 from tests.conftest import TINY_CFG_TEXT
 
 DAY = date(2016, 5, 16)
@@ -482,28 +486,39 @@ class TestCsvIsTheStore:
         cli("report")
 
 
+@pytest.fixture(scope="module")
+def default_day(tmp_path_factory, default_cfg):
+    """A store holding one synthetic day of the packaged config."""
+    path = tmp_path_factory.mktemp("default_day") / "day.db"
+    with Store(path) as s:
+        bootstrap_store(s, default_cfg)
+        run_day(build_plan(default_cfg.windows, default_cfg.routes, DAY),
+                SynthSource(default_cfg.profile), s, default_cfg)
+    return path
+
+
 class TestExportPerLocation:
-    def test_no_read_holds_more_than_one_location(self, cli, collected, tmp_path,
-                                                  monkeypatch):
-        sizes = []
-        query = Store.query_attribute
+    def test_peak_below_a_quarter_of_the_result(self, default_day, tmp_path, capsys):
+        path, dest = default_day, tmp_path / "weathers.csv"
 
-        def recording(self, *args, **kwargs):
-            result = query(self, *args, **kwargs)
-            sizes.append(len(result))
-            return result
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        monkeypatch.setattr(Store, "query_attribute", recording)
-        dest = tmp_path / "weathers.csv"
-        out, _ = cli("export", "weathers", "--csv", str(dest))
-        conn = sqlite3.connect(collected)
-        per_location = [n for (n,) in conn.execute(
-            "SELECT COUNT(*) FROM weathers GROUP BY id_locations_w")]
-        conn.close()
-        assert len(per_location) == 2
-        assert max(sizes) <= max(per_location)
-        assert sorted(sizes) == sorted(per_location)
-        assert out == f"wrote {sum(per_location)} rows to {dest}\n"
+        with Store(path) as s:
+            ids = sorted(s.location_ids("locations_w").values())
+            whole, whole_peak = peak(lambda: s.query_attribute(
+                "weathers", queryable_attributes("weathers"), ids,
+                datetime(1000, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+        code, export_peak = peak(lambda: main(
+            ["export", "weathers", "--store", str(path), "--csv", str(dest)]))
+        assert code == 0 and len(whole) == 3576
+        assert capsys.readouterr().out == f"wrote 3576 rows to {dest}\n"
+        assert dest.read_text() == export_csv(whole)
+        assert export_peak < whole_peak / 4, (export_peak, whole_peak)
 
     @pytest.mark.parametrize("argv", [
         ["query", "weathers", "--attrs", "temp,speed"],
@@ -520,22 +535,80 @@ class TestExportPerLocation:
 
     def test_store_failure_midway_leaves_partial_file(self, cli, collected, tmp_path,
                                                       monkeypatch):
-        query = Store.query_attribute
-        calls = []
-
-        def failing(self, *args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise StorageUnavailable("cannot use store at obs.db: disk I/O error")
-            return query(self, *args, **kwargs)
-
-        monkeypatch.setattr(Store, "query_attribute", failing)
+        whole = tmp_path / "whole.csv"
+        cli("export", "weathers", "--csv", str(whole))
+        lines = whole.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + 24 + 48  # the header, then two locations
+        monkeypatch.setattr(sqlite3, "connect",
+                            _weathers_fail_after(30, "disk I/O error"))
         dest = tmp_path / "weathers.csv"
         out, err = cli("export", "weathers", "--csv", str(dest), expect=1)
-        assert (out, err) == ("", "error: cannot use store at obs.db: disk I/O error\n")
-        with Store(collected) as s:
-            first = query(s, *calls[0])
-        assert first.rows and dest.read_text() == export_csv(first)
+        assert (out, err) == ("", f"error: cannot use store at {collected}: "
+                                  f"disk I/O error\n")
+        assert dest.read_text() == "".join(lines[:1 + 30])
+
+
+class TestExportOneStatement:
+    def test_one_snapshot(self, default_day, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "day.db"
+        shutil.copyfile(default_day, path)
+        before, during = tmp_path / "before.csv", tmp_path / "during.csv"
+        export_csv = cli_mod.export_csv
+
+        def rows_then_insert(rows):
+            rows = iter(rows)
+            yield next(rows)
+            # A writer commits a row for the last station while the
+            # export is on its first, with batches of rows still to
+            # read: the export must not see it.
+            conn = sqlite3.connect(path, timeout=0)
+            try:
+                with conn:
+                    conn.execute(
+                        "INSERT INTO weathers (timestamp_w, temp, id_locations_w) "
+                        "SELECT '2016-05-18 00:00:00', 99.0, MAX(id_locations_w) "
+                        "FROM locations_w")
+            except sqlite3.OperationalError:
+                pass  # the export's read holds the store
+            finally:
+                conn.close()
+            yield from rows
+
+        def inserting(result, dest=None):
+            return export_csv(QueryResult("weathers", result.columns,
+                                          rows_then_insert(result.rows)), dest)
+
+        def export(dest):
+            return main(["export", "weathers", "--store", str(path), "--csv", str(dest)])
+
+        assert export(before) == 0
+        monkeypatch.setattr(cli_mod, "export_csv", inserting)
+        assert export(during) == 0
+        assert capsys.readouterr().out == (f"wrote 3576 rows to {before}\n"
+                                           f"wrote 3576 rows to {during}\n")
+        assert during.read_bytes() == before.read_bytes()
+
+    @pytest.mark.parametrize("command", [["query", "weathers", "--attrs", "temp"],
+                                         ["export", "weathers"]], ids=lambda c: c[0])
+    def test_locked_store_fails_before_the_file_opens(self, cli, collected, tmp_path,
+                                                      monkeypatch, command):
+        real_connect = sqlite3.connect
+
+        def connect(*args, **kwargs):
+            return real_connect(*args, **{**kwargs, "timeout": 0.01})
+
+        dest = tmp_path / "keep.csv"
+        dest.write_bytes(b"kept,bytes\r\n")
+        holder = real_connect(collected, isolation_level=None)
+        try:
+            holder.execute("BEGIN EXCLUSIVE")
+            monkeypatch.setattr(sqlite3, "connect", connect)
+            out, err = cli(*command, "--csv", str(dest), expect=1)
+        finally:
+            holder.close()
+        assert (out, err) == (
+            "", f"error: cannot use store at {collected}: database is locked\n")
+        assert dest.read_bytes() == b"kept,bytes\r\n"
 
 
 class TestStorePrecedence:
@@ -719,29 +792,32 @@ class TestNotADatabase:
             ["notes.txt", "tiny.cfg"]
 
 
-class _MalformedCursor:
-    """A cursor whose rows cannot be read, as on a corrupt page."""
+class _FailingCursor:
+    """A cursor that reads ``good`` rows and then fails to read the next,
+    as on a corrupt page."""
 
-    def _fail(self, *args):
-        raise sqlite3.DatabaseError("database disk image is malformed")
+    def __init__(self, cursor, good: int, message: str) -> None:
+        self._cursor, self._good, self._message = cursor, good, message
 
-    fetchall = fetchone = __iter__ = _fail
+    def fetchmany(self, size: int) -> list:
+        if not self._good:
+            raise sqlite3.DatabaseError(self._message)
+        rows = self._cursor.fetchmany(min(size, self._good))
+        self._good -= len(rows)
+        return rows
 
 
-def _weathers_malformed_after(good_reads: int):
-    """sqlite3.connect, whose connections read the weathers table
-    ``good_reads`` times and then find its rows malformed."""
+def _weathers_fail_after(good_rows: int,
+                         message: str = "database disk image is malformed"):
+    """sqlite3.connect, whose connections read ``good_rows`` rows of each
+    statement on the weathers table and then fail with ``message``."""
     real_connect = sqlite3.connect
-    reads = 0
 
     class Connection(sqlite3.Connection):
         def execute(self, sql, *args):
-            nonlocal reads
             cursor = super().execute(sql, *args)
             if "FROM weathers" in sql:
-                reads += 1
-                if reads > good_reads:
-                    return _MalformedCursor()
+                return _FailingCursor(cursor, good_rows, message)
             return cursor
 
     def connect(*args, **kwargs):
@@ -753,22 +829,24 @@ class TestReadFailsAfterFirstRow:
     """A store read that fails while its rows are fetched is an error,
     not a traceback."""
 
-    @pytest.mark.parametrize("argv, good_reads", [
-        (["export", "weathers", "--csv", "out.csv"], 1),  # the second location
+    @pytest.mark.parametrize("argv, good_rows", [
+        (["export", "weathers", "--csv", "out.csv"], 5),
         (["query", "weathers", "--attrs", "temp"], 0),
         (["report"], 0),
     ], ids=["export", "query", "report"])
     def test_error_not_traceback(self, cli, collected, tmp_path, monkeypatch,
-                                 argv, good_reads):
+                                 argv, good_rows):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sqlite3, "connect",
-                            _weathers_malformed_after(good_reads))
+        if good_rows:
+            cli("export", "weathers", "--csv", "whole.csv")
+        monkeypatch.setattr(sqlite3, "connect", _weathers_fail_after(good_rows))
         out, err = cli(*argv, expect=1)
         assert (out, err) == (
             "", f"error: cannot use store at {collected}: "
                 f"database disk image is malformed\n")
-        if good_reads:  # the first location's rows are written
-            assert (tmp_path / "out.csv").read_text().count("\n") > 1
+        if good_rows:  # the header and the rows read are written
+            whole = (tmp_path / "whole.csv").read_text().splitlines(keepends=True)
+            assert (tmp_path / "out.csv").read_text() == "".join(whole[:1 + good_rows])
 
 
 class TestFixtureSource:
@@ -823,6 +901,28 @@ class TestFixtureSource:
                                    ["traveldist", "traveltime_curr"],
                                    sorted(ids.values()), start, end)
             assert qa == qb
+
+    def test_differing_traffic_lines_fail_one_poll(self, initialized, tmp_path,
+                                                   tiny_cfg):
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        self._write_corpus(clean, tiny_cfg)
+        self._write_corpus(dirty, tiny_cfg)
+        route = tiny_cfg.routes[0].file_id
+        path = dirty / "traffic" / route / f"{DAY.isoformat()}.txt"
+        first, second, *_ = path.read_text().splitlines(keepends=True)
+        # The first tick again with another reading; the second, repeated.
+        with path.open("a") as f:
+            f.write(first[:-2] + "9\n" + second)
+        plan = build_plan(tiny_cfg.windows, tiny_cfg.routes, DAY)
+        with Store(initialized) as s:
+            got = run_day(plan, FixtureDirectorySource(dirty), s, tiny_cfg)
+        with Store(tmp_path / "clean.db") as s:
+            bootstrap_store(s, tiny_cfg)
+            want = run_day(plan, FixtureDirectorySource(clean), s, tiny_cfg)
+        assert got.failures == [f"traffic_poll {route}: traffic fixture lines "
+                                f"at {first.split()[1]} differ in {path}"]
+        assert want.failures == [] and want.duplicates == got.duplicates == 0
+        assert (got.fired, got.stored) == (want.fired, want.stored - 1)
 
 
 def test_no_command_is_usage_error(capsys):

@@ -418,13 +418,24 @@ class TestFixtureDirectorySource:
         with pytest.raises(SourceError, match="07:48"):
             src.fetch_traffic(ROUTE, datetime(2016, 5, 16, 7, 48, 0))
 
-    def test_first_line_for_an_instant_wins(self, tmp_path):
-        root = self._layout(tmp_path)
-        with (root / "traffic" / ROUTE.file_id / "2016-05-16.txt").open("a") as f:
-            f.write("downtown-aeropuerto 2016-05-16T08:00:00 18560 1215 3000\n")
-        src = FixtureDirectorySource(root)
-        payload = src.fetch_traffic(ROUTE, datetime(2016, 5, 16, 8, 0, 0))
-        assert payload.body == "downtown-aeropuerto 2016-05-16T08:00:00 18560 1215 1998\n"
+    def test_differing_lines_at_an_instant_fail_the_poll(self, tmp_path):
+        route = TrafficRoute("r1", 25.67, -100.31, 25.78, -100.11)
+        path = tmp_path / "traffic" / "r1" / "2016-05-16.txt"
+        path.parent.mkdir(parents=True)
+        path.write_text("r1 2016-05-16T06:00:00 1000 60 70\n"
+                        "r1 2016-05-16T06:00:00 1000 60 95\n"
+                        "r1 2016-05-16T06:15:00 1000 60 80\n"
+                        "r1 2016-05-16T06:15:00 1000 60 80\n"
+                        "r1 2016-05-16T06:00:00 1000 60 70\n")
+        src = FixtureDirectorySource(tmp_path)
+        for _ in range(2):
+            with pytest.raises(SourceError) as err:
+                src.fetch_traffic(route, datetime(2016, 5, 16, 6, 0, 0))
+            assert str(err.value) == \
+                f"traffic fixture lines at 2016-05-16T06:00:00 differ in {path}"
+            # An identical repeat is the same reading: the poll fetches it.
+            payload = src.fetch_traffic(route, datetime(2016, 5, 16, 6, 15, 0))
+            assert payload.body == "r1 2016-05-16T06:15:00 1000 60 80\n"
 
     def test_origin_for_relative_root(self, tmp_path, monkeypatch):
         root = self._layout(tmp_path)
@@ -447,13 +458,18 @@ def _scan_fetch_traffic(root: Path, route, at: datetime) -> SourcePayload:
     if not path.is_file():
         raise SourceError(f"no traffic fixture for {route.file_id} on {day}: {path}")
     want = at.strftime(TIMESTAMP_FMT)
+    found = []
     for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.split()[1:2] == [want]:
-            return SourcePayload("traffic", at, line + "\n", str(path))
-    raise SourceError(f"no traffic fixture line at {want} in {path}")
+            found.append(line)
+    if not found:
+        raise SourceError(f"no traffic fixture line at {want} in {path}")
+    if len(set(found)) > 1:
+        raise SourceError(f"traffic fixture lines at {want} differ in {path}")
+    return SourcePayload("traffic", at, found[0] + "\n", str(path))
 
 
 def _fetch_outcome(fetch, *args):
@@ -471,10 +487,12 @@ def test_indexed_traffic_fetch_matches_scan(tmp_path, default_cfg):
              if e.kind == TRAFFIC_POLL and e.target == route.file_id]
     lines = [gen_traffic_response(default_cfg.profile, route, at).body
              for at in ticks]
-    # Comments, blanks, a one-word line and a second line for an
-    # instant that is already listed, around the generator's lines.
+    # Comments, blanks, a one-word line, a second line for an instant
+    # that is already listed and a repeat of a listed line, around the
+    # generator's lines.
     odd = ["# captured 2016-05-16\n", "\n", f"  {route.file_id}\n",
-           lines[3].replace(route.file_id, route.file_id + "  ", 1)[:-2] + "9\n"]
+           lines[3].replace(route.file_id, route.file_id + "  ", 1)[:-2] + "9\n",
+           f"  {lines[7]}"]
     body = odd[0] + "".join(lines[:5]) + "".join(odd[1:]) + "".join(lines[5:])
     path = tmp_path / "traffic" / route.file_id / f"{DAY.isoformat()}.txt"
     path.parent.mkdir(parents=True)
