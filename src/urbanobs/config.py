@@ -238,6 +238,16 @@ def _parse_synth(items: dict) -> SynthProfile:
     return SynthProfile(**kwargs)
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the config or rules file at ``path``."""
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 def _parse_rules(items: dict, base_dir: Path | None) -> RuleSet:
     """The rules a ``[rules] file`` names, else the defaults.
 
@@ -254,9 +264,7 @@ def _parse_rules(items: dict, base_dir: Path | None) -> RuleSet:
     path = Path(path_s)
     if not path.is_absolute():
         path = (Path.cwd() if base_dir is None else base_dir) / path
-    if not path.is_file():
-        raise ConfigError(f"rules file not found: {path}")
-    return RuleSet.from_text(path.read_text(), origin=str(path))
+    return RuleSet.from_text(_read_text(path, "rules"), origin=str(path))
 
 
 def _build(sections: _Sections, base_dir: Path | None) -> Config:
@@ -305,14 +313,14 @@ def _build(sections: _Sections, base_dir: Path | None) -> Config:
 def load_config(path: str | Path) -> Config:
     """Parse and cross-check one config file."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return _build(_sections(path.read_text(), str(path)), path.parent.resolve())
+    return _build(_sections(_read_text(path, "config"), str(path)),
+                  path.parent.resolve())
 
 
 def default_config_text() -> str:
     """The packaged default deployment description."""
-    return (resources.files("urbanobs") / "data" / "default.cfg").read_text()
+    return (resources.files("urbanobs") / "data" / "default.cfg").read_text(
+        encoding="utf-8")
 
 
 def load_default() -> Config:

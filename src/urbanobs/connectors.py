@@ -183,8 +183,15 @@ _FAST_BARE = r"""[^ \t\r\n'"\\]+"""
 _FAST_LINE_RE = re.compile(
     rf"""({_FAST_BARE}) ({_FAST_BARE})((?: [a-z_]+=(?:{_FAST_BARE}|'[^']+'))*)""")
 # Splits the pairs of a line _FAST_LINE_RE matched, so its simpler
-# classes find the same pieces: (key, bare value, quoted value).
+# classes find the same pieces: (key, quoted value, bare value).
 _FAST_FIELD_RE = re.compile(r" ([^=]+)=(?:'([^']+)'|([^ ]+))")
+
+
+def _token_piece(token: str) -> tuple[str, str | None, str | None]:
+    """A shlex token in the shape of a _FAST_FIELD_RE piece: (key, "",
+    value) for a key=value token, (token, None, None) for any other."""
+    key, sep, value = token.partition("=")
+    return (key, "", value) if sep and key else (token, None, None)
 
 
 def parse_weather_observations(
@@ -207,23 +214,11 @@ def parse_weather_observations(
     # (station, local time) -> index in readings of the line that gave it
     first: dict[tuple[str, datetime], int] = {}
     for line_no, line in _content_lines(payload.body):
-        fields = None
         m = _FAST_LINE_RE.fullmatch(line)
         if m is not None:
             file_id, ts_text, rest = m.groups()
-            pairs = _FAST_FIELD_RE.findall(rest)
-            found = {key: quoted or bare for key, quoted, bare in pairs}
-            station = stations.get(file_id)
-            # Unknown stations and keys, duplicates and airport-only keys
-            # on a personal station are left to the general path, which
-            # quarantines them or raises the positioned error.
-            if (station is not None and len(found) == len(pairs)
-                    and found.keys() <= _WEATHER_KEY_SET
-                    and (station.is_airport
-                         or _AIRPORT_ONLY_SET.isdisjoint(found))):
-                ts = _check_timestamp_text(ts_text, payload.origin, line_no)
-                fields = found
-        if fields is None:
+            pieces = _FAST_FIELD_RE.findall(rest)
+        else:
             try:
                 tokens = shlex.split(line)
             except ValueError as exc:
@@ -233,32 +228,32 @@ def parse_weather_observations(
                 raise ParseError("observation needs a station id and a timestamp",
                                  origin=payload.origin, line_no=line_no)
             file_id, ts_text = tokens[0], tokens[1]
-            ts = _check_timestamp_text(ts_text, payload.origin, line_no)
-            station = stations.get(file_id)
-            if station is None:
-                quarantined.append(QuarantinedLine(
-                    origin=payload.origin, line_no=line_no, line=line,
-                    reason=f"unknown station id {file_id!r}",
-                ))
-                continue
-            personal = not station.is_airport
-            fields = {}
-            for tok in tokens[2:]:
-                key, sep, value = tok.partition("=")
-                if not sep or not key:
-                    raise ParseError(f"expected key=value, got {tok!r}",
-                                     origin=payload.origin, line_no=line_no)
-                if key not in _WEATHER_KEY_SET:
-                    raise ParseError(f"unknown weather key {key!r}",
-                                     origin=payload.origin, line_no=line_no)
-                if key in fields:
-                    raise ParseError(f"duplicate key {key!r}",
-                                     origin=payload.origin, line_no=line_no)
-                if personal and key in _AIRPORT_ONLY_SET:
-                    raise ParseError(
-                        f"key {key!r} is airport-only but {file_id} is a personal station",
-                        origin=payload.origin, line_no=line_no)
-                fields[key] = value
+            pieces = map(_token_piece, tokens[2:])
+        ts = _check_timestamp_text(ts_text, payload.origin, line_no)
+        station = stations.get(file_id)
+        if station is None:
+            quarantined.append(QuarantinedLine(
+                origin=payload.origin, line_no=line_no, line=line,
+                reason=f"unknown station id {file_id!r}",
+            ))
+            continue
+        personal = not station.is_airport
+        fields = {}
+        for key, quoted, bare in pieces:
+            if bare is None:
+                raise ParseError(f"expected key=value, got {key!r}",
+                                 origin=payload.origin, line_no=line_no)
+            if key not in _WEATHER_KEY_SET:
+                raise ParseError(f"unknown weather key {key!r}",
+                                 origin=payload.origin, line_no=line_no)
+            if key in fields:
+                raise ParseError(f"duplicate key {key!r}",
+                                 origin=payload.origin, line_no=line_no)
+            if personal and key in _AIRPORT_ONLY_SET:
+                raise ParseError(
+                    f"key {key!r} is airport-only but {file_id} is a personal station",
+                    origin=payload.origin, line_no=line_no)
+            fields[key] = quoted or bare
         # The store keys a reading by station and local time, not zone,
         # so a second reading of one local time would read as a replay.
         i = first.setdefault((file_id, ts), len(readings))
@@ -485,6 +480,15 @@ def pollution_payload_body(
     return "\n\n".join(chunks) + "\n" if chunks else "# no tables\n"
 
 
+def _read_fixture(path: str | Path) -> str:
+    """A fixture file's UTF-8 text; a file that cannot be read or decoded
+    fails the one fetch that reads it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SourceError(f"cannot read fixture {path}: {exc}")
+
+
 class FixtureDirectorySource:
     """Source registry reading pre-captured payloads from a directory.
 
@@ -512,7 +516,7 @@ class FixtureDirectorySource:
         path = self.root / kind / target / f"{day.isoformat()}.txt"
         if not path.is_file():
             raise SourceError(f"no {kind} fixture for {target} on {day}: {path}")
-        return path.read_text(), str(path)
+        return _read_fixture(path), str(path)
 
     def fetch_weather(self, meta, day: date, fetched_at: datetime | None = None) -> SourcePayload:
         body, origin = self._read("weather", meta.station.file_id, day)
@@ -534,7 +538,7 @@ class FixtureDirectorySource:
                 f"no traffic fixture for {route.file_id} on {day}: {origin}")
         if (st.st_mtime_ns, st.st_size) != signature:
             index = {}
-            for _, line in _content_lines(Path(origin).read_text()):
+            for _, line in _content_lines(_read_fixture(origin)):
                 tokens = line.split(None, 2)
                 if len(tokens) > 1 and index.setdefault(tokens[1], line) != line:
                     index[tokens[1]] = ""

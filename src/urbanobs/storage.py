@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import sqlite3
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime
@@ -643,6 +644,11 @@ class Store:
         return problems
 
 
+# The encoding open() picks when given none: UTF-8 in UTF-8 mode, else
+# the locale's. "locale" alone would differ in UTF-8 mode.
+_CSV_ENCODING = "utf-8" if sys.flags.utf8_mode else "locale"
+
+
 def export_csv(result, dest=None) -> str | None:
     """Serialize a query result to CSV; NA becomes the empty cell.
 
@@ -653,7 +659,8 @@ def export_csv(result, dest=None) -> str | None:
     so no text is built and None is returned; a read failing midway
     leaves the rows written so far.
     """
-    with io.StringIO() if dest is None else open(dest, "w") as out:
+    with (io.StringIO() if dest is None
+          else open(dest, "w", encoding=_CSV_ENCODING)) as out:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(result.columns)
         w.writerows(result.rows)

@@ -97,6 +97,22 @@ class TestInit:
         assert code == 1
         assert "error:" in err and "duplicate" in err and "alpha" in err
 
+    @pytest.mark.parametrize("broken", ["config", "rules"])
+    def test_undecodable_file_is_a_config_error(self, tmp_path, db_path, capsys,
+                                                broken):
+        cfg = tmp_path / "bad.cfg"
+        rules = tmp_path / "rules.txt"
+        cfg.write_bytes(TINY_CFG_TEXT.encode() + b"\n[rules]\nfile = rules.txt\n")
+        rules.write_bytes(b"weathers.temp -30 55\n")
+        bad = {"config": cfg, "rules": rules}[broken]
+        bad.write_bytes(b"# caf\xe9\n" + bad.read_bytes())
+        code = main(["init", "--config", str(cfg), "--store", str(db_path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+        assert not db_path.exists()
+
     def test_locked_store_is_an_error(self, cli, db_path, monkeypatch):
         class NoWaitStore(Store):
             def __init__(self, path):
@@ -924,6 +940,40 @@ class TestFixtureSource:
         assert want.failures == [] and want.duplicates == got.duplicates == 0
         assert (got.fired, got.stored) == (want.fired, want.stored - 1)
 
+    def test_undecodable_weather_file_fails_its_fetch(self, cli, initialized,
+                                                     tmp_path, tiny_cfg):
+        corpus = tmp_path / "corpus"
+        self._write_corpus(corpus, tiny_cfg)
+        day_file = f"{(DAY - timedelta(days=1)).isoformat()}.txt"
+        bad = corpus / "weather" / "pws_one" / day_file
+        bad.write_bytes(bad.read_bytes().replace(b"temp=", b"temp=\xff", 1))
+        out, _ = cli("run", "--days", "1", "--start", DAY.isoformat(),
+                     "--source", f"fixtures:{corpus}")
+        assert "failures=1" in out
+        good = (corpus / "weather" / "apt_one" / day_file).read_text().splitlines()
+        with Store(initialized) as s:
+            ids = s.location_ids("locations_w")
+            rows = s.query_attribute("weathers", ["temp"], sorted(ids.values()),
+                                     datetime(2016, 1, 1), datetime(2016, 12, 31)).rows
+        assert [r[1] for r in rows] == [ids["apt_one"]] * len(good)
+
+    def test_undecodable_traffic_file_fails_each_poll(self, initialized, tmp_path,
+                                                      tiny_cfg):
+        corpus = tmp_path / "corpus"
+        self._write_corpus(corpus, tiny_cfg)
+        route = tiny_cfg.routes[0].file_id
+        path = corpus / "traffic" / route / f"{DAY.isoformat()}.txt"
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        plan = build_plan(tiny_cfg.windows, tiny_cfg.routes, DAY)
+        with Store(initialized) as s:
+            got = run_day(plan, FixtureDirectorySource(corpus), s, tiny_cfg)
+        polls = [e for e in plan.entries
+                 if e.kind == TRAFFIC_POLL and e.target == route]
+        prefix = f"traffic_poll {route}: cannot read fixture {path}: "
+        assert len(polls) > 1
+        assert [f[:len(prefix)] for f in got.failures] == [prefix] * len(polls)
+        assert "can't decode byte 0xff" in got.failures[0]
+
 
 def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -963,6 +1013,25 @@ class TestExportFormatting:
         assert export_csv(result, dest=dest) is None
         old.write_text(_old_export_csv(result))  # how the old export wrote it
         assert dest.read_bytes() == old.read_bytes()
+
+    def test_file_encoding_is_the_open_default_in_utf8_mode(self, tmp_path):
+        """In UTF-8 mode under the C locale, a bare open() writes UTF-8
+        while the locale encoding is ASCII; the export follows open()."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        code = (
+            "import sys\n"
+            "from urbanobs.storage import QueryResult, export_csv\n"
+            "r = QueryResult('weathers', ('timestamp', 'cond'), (('t', 'caf\\xe9'),))\n"
+            "export_csv(r, dest=sys.argv[1])\n"
+            "with open(sys.argv[2], 'w') as f:\n"
+            "    f.write(export_csv(r))\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONWARNDEFAULTENCODING", "PYTHONIOENCODING")}
+        env.update(PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="1")
+        subprocess.run([sys.executable, "-c", code, str(got), str(want)],
+                       env=env, check=True)
+        assert got.read_bytes() == want.read_bytes() == "timestamp,cond\nt,café\n".encode()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_CELL, _CELL, _CELL), max_size=5))

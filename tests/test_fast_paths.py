@@ -226,6 +226,32 @@ class TestWeatherLineParse:
             _parse_outcome(_reference_parse_weather, line, stations)
 
 
+class TestKeyValueLineChecks:
+    """A line in the serializer's grammar is checked without shlex, even
+    when it is quarantined or fails a key check."""
+
+    @pytest.mark.parametrize("line", [
+        "pws_nowhere 2016-05-16T08:05:00 temp=1",
+        "pws_nowhere 2016-05-16T08:05:00 tmep=1 temp=1 temp=2",
+        "pws_nowhere 2016-02-30T08:05:00 temp=1",
+        "pws_obispado 2016-05-16T08:05:00 tmep=1",
+        "pws_obispado 2016-02-30T08:05:00 tmep=1",
+        "pws_obispado 2016-05-16T08:05:00 temp=1 cond='a b' temp=2",
+        "pws_obispado 2016-05-16T08:05:00 temp=1 temp=2 tmep=3",
+        "pws_obispado 2016-05-16T08:05:00 vis=3",
+        "pws_obispado 2016-05-16T08:05:00 fog=1 tmep=3",
+        "pws_obispado 2016-05-16T08:05:00 tmep=3 fog=1",
+        "pws_obispado 2016-05-16T08:05:00 temp=1\n"
+        "pws_obispado 2016-05-16T08:05:00 temp=2",
+    ])
+    def test_matches_reference_without_shlex(self, stations, line):
+        assert all(connectors._FAST_LINE_RE.fullmatch(l) for l in line.splitlines())
+        want = _parse_outcome(_reference_parse_weather, line, stations)
+        with mock.patch.object(connectors.shlex, "split",
+                               side_effect=AssertionError("shlex path taken")):
+            assert _parse_outcome(parse_weather_observations, line, stations) == want
+
+
 # -- timestamp text ----------------------------------------------------------------
 
 _ZONES = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-6))])

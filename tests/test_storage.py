@@ -775,9 +775,9 @@ class TestTimestampFirstStore:
 
 
 class TestPerLocationExportBytes:
-    """``export`` and ``query --csv`` read one location at a time and
-    write the bytes that one ``query_attribute`` call over the same ids
-    gives, on a store of either key order."""
+    """``export`` and ``query --csv`` stream one statement and write the
+    bytes that one materialised ``query_attribute`` call over the same
+    ids gives, on a store of either key order."""
 
     ALL_TIME = (datetime(1000, 1, 1), datetime(9999, 12, 31, 23, 59, 59))
     WINDOWS = {
