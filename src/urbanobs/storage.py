@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, getitem
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -667,25 +667,62 @@ def export_csv(result, dest=None) -> str | None:
         return out.getvalue() if dest is None else None
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines ``io.StringIO(text)`` yields: split at "\\n" only, ends kept.
+
+    Slicing them off the text spares the StringIO's copy, which CPython
+    stores at four bytes per character.
+    """
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
+class _Cells(dict):
+    """Cell text -> value, each distinct text converted once; "" is NA.
+
+    Equal cells then share one value object, and a lookup that hits
+    runs no Python code.
+    """
+
+    def __init__(self, convert: type) -> None:
+        super().__init__({"": None})
+        self.convert = convert
+
+    def __missing__(self, text: str):
+        value = self[text] = self.convert(text)
+        return value
+
+
 def import_csv(text: str, table: str) -> QueryResult:
-    """Parse CSV produced by export_csv back into a typed result."""
+    """Parse CSV produced by export_csv back into a typed result.
+
+    Malformed input raises QueryError: a cell that is not of its
+    column's type or that the csv module cannot read names its CSV line.
+    """
     table = resolve_table(table)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise QueryError("CSV is empty, expected a header row")
+    reader = csv.reader(_lines(text))
     cell_type = {"timestamp": str, "location": int,
                  **{attr: spec[2] for attr, spec in _ATTRS[table].items()}}
-    for col in header:
-        if col not in cell_type:
-            raise QueryError(f"CSV column {col!r} is not a {table} attribute")
-    types = [cell_type[col] for col in header]
-    rows = []
-    for row in reader:
-        if len(row) != len(header):
-            raise QueryError(
-                f"CSV row has {len(row)} cells, header has {len(header)}")
-        # The empty cell is NA.
-        rows.append(tuple(None if v == "" else f(v) for f, v in zip(types, row)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise QueryError("CSV is empty, expected a header row")
+        header = tuple(header)
+        for col in header:
+            if col not in cell_type:
+                raise QueryError(
+                    f"CSV column {col!r} is not a {table} attribute")
+        cells = [_Cells(cell_type[col]) for col in header]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise QueryError(
+                    f"CSV row has {len(row)} cells, header has {len(header)}")
+            rows.append(tuple(map(getitem, cells, row)))
+    except (ValueError, csv.Error) as exc:
+        raise QueryError(f"CSV line {reader.line_num}: {exc}") from None
     return QueryResult(kind=table, columns=header, rows=tuple(rows))

@@ -34,6 +34,7 @@ from urbanobs.synth import (
 )
 from urbanobs.scheduler import TRAFFIC_POLL, RunSummary, build_plan, run_day
 from tests.conftest import TINY_CFG_TEXT
+from tests.test_storage import _reference_import_csv
 
 DAY = date(2016, 5, 16)
 
@@ -513,23 +514,39 @@ def default_day(tmp_path_factory, default_cfg):
     return path
 
 
+def _traced_peak(call):
+    """call()'s result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestImportInPlace:
+    def test_peak_below_half_the_reference(self, default_day):
+        with Store(default_day) as s:
+            ids = sorted(s.location_ids("locations_w").values())
+            whole = s.query_attribute(
+                "weathers", queryable_attributes("weathers"), ids,
+                datetime(1000, 1, 1), datetime(9999, 12, 31, 23, 59, 59))
+        text = export_csv(whole)
+        back, peak = _traced_peak(lambda: import_csv(text, "weathers"))
+        ref, ref_peak = _traced_peak(lambda: _reference_import_csv(text, "weathers"))
+        assert len(back) == len(ref) == 3576
+        assert (back.columns, back.rows) == (whole.columns, whole.rows)
+        assert peak < ref_peak / 2, (peak, ref_peak)
+
+
 class TestExportPerLocation:
     def test_peak_below_a_quarter_of_the_result(self, default_day, tmp_path, capsys):
         path, dest = default_day, tmp_path / "weathers.csv"
-
-        def peak(call):
-            tracemalloc.start()
-            try:
-                return call(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         with Store(path) as s:
             ids = sorted(s.location_ids("locations_w").values())
-            whole, whole_peak = peak(lambda: s.query_attribute(
+            whole, whole_peak = _traced_peak(lambda: s.query_attribute(
                 "weathers", queryable_attributes("weathers"), ids,
                 datetime(1000, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
-        code, export_peak = peak(lambda: main(
+        code, export_peak = _traced_peak(lambda: main(
             ["export", "weathers", "--store", str(path), "--csv", str(dest)]))
         assert code == 0 and len(whole) == 3576
         assert capsys.readouterr().out == f"wrote 3576 rows to {dest}\n"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import sqlite3
 from datetime import date, datetime, timedelta
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from urbanobs.cli import bootstrap_store, main
 from urbanobs.errors import (
@@ -30,6 +33,7 @@ from urbanobs.storage import (
     RECORD_TABLES,
     REPORT_COLUMNS,
     TABLE_COLUMNS,
+    _ATTRS,
     QueryResult,
     Store,
     export_csv,
@@ -629,6 +633,105 @@ class TestCsv:
         row = back.rows[0]
         assert row[2] == 45 and isinstance(row[2], int)
         assert row[3] is None
+
+    @pytest.mark.parametrize("body, reason", [
+        ("2016-05-16 08:00:00,1,abc,0,M\n", "could not convert string to float: 'abc'"),
+        ("2016-05-16 08:00:00,x,1.5,0,M\n", "invalid literal for int() with base 10: 'x'"),
+        ("2016-05-16 08:00:00,1,1.5,0," + "M" * 131_073 + "\n",
+         "field larger than field limit"),
+        # Python 3.11's csv writer quotes only the line terminator's
+        # characters, so export_csv writes a cell's "\r" like this.
+        ("2016-05-16 08:00:00,1,1.5,0,a\rb\n", "new-line character seen in unquoted field"),
+    ], ids=["float cell", "location", "long field", "bare carriage return"])
+    def test_import_names_the_line_of_a_bad_cell(self, body, reason):
+        text = "timestamp,location,temp,fog,metar\n2016-05-16 07:00:00,1,,,\n" + body
+        with pytest.raises(QueryError, match=r"^CSV line 3: ") as err:
+            import_csv(text, "weathers")
+        assert reason in str(err.value)
+
+
+def _reference_import_csv(text: str, table: str) -> QueryResult:
+    """import_csv as it was: a StringIO copy of the text, one conversion per cell."""
+    table = resolve_table(table)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise QueryError("CSV is empty, expected a header row")
+    cell_type = {"timestamp": str, "location": int,
+                 **{attr: spec[2] for attr, spec in _ATTRS[table].items()}}
+    for col in header:
+        if col not in cell_type:
+            raise QueryError(f"CSV column {col!r} is not a {table} attribute")
+    types = [cell_type[col] for col in header]
+    rows = []
+    for row in reader:
+        if len(row) != len(header):
+            raise QueryError(
+                f"CSV row has {len(row)} cells, header has {len(header)}")
+        rows.append(tuple(None if v == "" else f(v) for f, v in zip(types, row)))
+    return QueryResult(kind=table, columns=header, rows=tuple(rows))
+
+
+def _outcome(parse, text):
+    """What parsing gives: the rows with every cell as its repr (NaN
+    included), or the error. A reference error other than QueryError
+    comes back from import_csv as a QueryError naming its line."""
+    try:
+        got = parse(text, "weathers")
+    except QueryError as exc:
+        return "QueryError", str(exc)
+    except (ValueError, csv.Error) as exc:
+        return "leaked", str(exc)
+    return got.kind, got.columns, [tuple(map(repr, row)) for row in got.rows]
+
+
+# Each is a line break to str.splitlines() but not to io.StringIO.
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x85\u2028"
+_HEADER = "timestamp,location,temp,fog,metar"
+# Text cells with and without the characters csv treats specially.
+_TEXT = st.one_of(*(st.text(alphabet=st.sampled_from(chars + _SPLITLINES_ONLY), max_size=6)
+                    for chars in ("a1", 'a1,"\n\r')))
+_INT = st.sampled_from(["", "1", " 7", "-3", "x"])
+_CELLS = {"timestamp": _TEXT, "location": _INT, "fog": _INT, "metar": _TEXT,
+          "temp": st.sampled_from(["", "1.5", "-0.0", "nan", "1e5", "abc"])}
+
+
+@st.composite
+def _csv_texts(draw):
+    header = draw(st.sampled_from([_HEADER, _HEADER, "timestamp,location,metar",
+                                   "timestamp,bogus"])).split(",")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(_CELLS.get(col, _TEXT)) for col in header]
+        if draw(st.integers(0, 9)) == 0:
+            row.pop()  # a short row
+        lines.append(",".join('"' + c.replace('"', '""') + '"' if draw(st.booleans())
+                              else c for c in row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+class TestImportMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(text=_csv_texts())
+    @example(text=_HEADER + '\n2016-05-16 08:00:00,1,1.5,0,"two\nlines"\n')
+    @example(text=_HEADER + "\r\n2016-05-16 08:00:00,1,nan,1,M\r\n")
+    @example(text=_HEADER + "\n" + "".join(
+        f'2016-05-16 08:00:00,1,,,a{c}b\n2016-05-16 09:00:00,1,,,"a{c}b"\n'
+        for c in _SPLITLINES_ONLY))
+    @example(text=_HEADER + "\n2016-05-16 08:00:00,1,nan,0,M")
+    @example(text=_HEADER + "\n")
+    @example(text="")
+    @example(text=_HEADER + "\n2016-05-16 08:00:00,1,1.5,0,M\n\n")
+    @example(text=_HEADER + "\n2016-05-16 08:00:00,1,1.5\n")
+    def test_same_rows_or_error(self, text):
+        want, got = _outcome(_reference_import_csv, text), _outcome(import_csv, text)
+        if want[0] == "leaked":
+            assert got[0] == "QueryError" and got[1].startswith("CSV line ")
+            assert got[1].endswith(f": {want[1]}")
+        else:
+            assert got == want
 
 
 # The record tables as stores created before the natural key led with
