@@ -88,10 +88,9 @@ TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%S"
 
 @dataclass(frozen=True)
 class SourcePayload:
-    """One fetched body of source text plus provenance."""
+    """One fetched body of source text and where it came from."""
 
     source_kind: str  # weather | traffic | pollution
-    fetched_at: datetime
     body: str
     origin: str  # URL, file path, or synth tag
 
@@ -116,7 +115,6 @@ class RawReading:
     timestamp: str  # verbatim local timestamp text
     fields: Mapping[str, str]
     origin: str
-    fetched_at: datetime
     station_kind: str | None = None  # weather only: pws | airport
 
 
@@ -268,8 +266,7 @@ def parse_weather_observations(
             continue
         readings.append(RawReading(
             kind="weather", target=file_id, timestamp=ts_text, fields=fields,
-            origin=payload.origin, fetched_at=payload.fetched_at,
-            station_kind=station.kind,
+            origin=payload.origin, station_kind=station.kind,
         ))
     return readings, quarantined
 
@@ -300,8 +297,7 @@ def parse_traffic_response(payload: SourcePayload, route: TrafficRoute) -> RawRe
     _check_timestamp_text(ts_text, payload.origin, line_no)
     return RawReading(
         kind="traffic", target=route.file_id, timestamp=ts_text,
-        fields={_DIST: dist, _STD: std, _CURR: curr},
-        origin=payload.origin, fetched_at=payload.fetched_at,
+        fields={_DIST: dist, _STD: std, _CURR: curr}, origin=payload.origin,
     )
 
 
@@ -393,7 +389,7 @@ def parse_pollution_tables(payload: SourcePayload) -> list[RawReading]:
             fields = {}
         readings.append(RawReading(
             kind="pollution", target=station, timestamp=f"{day_text}T{hhmm}:00",
-            fields=fields, origin=payload.origin, fetched_at=payload.fetched_at,
+            fields=fields, origin=payload.origin,
         ))
     return readings
 
@@ -430,7 +426,6 @@ def assemble_station_day(
             timestamp=f"{day.isoformat()}T{hhmm}:00",
             fields=by_hour[hhmm],
             origin=readings[0].origin,
-            fetched_at=readings[0].fetched_at,
         ))
     return out
 
@@ -518,9 +513,9 @@ class FixtureDirectorySource:
             raise SourceError(f"no {kind} fixture for {target} on {day}: {path}")
         return _read_fixture(path), str(path)
 
-    def fetch_weather(self, meta, day: date, fetched_at: datetime | None = None) -> SourcePayload:
+    def fetch_weather(self, meta, day: date) -> SourcePayload:
         body, origin = self._read("weather", meta.station.file_id, day)
-        return SourcePayload("weather", fetched_at or datetime.now(), body, origin)
+        return SourcePayload("weather", body, origin)
 
     def fetch_traffic(self, route: TrafficRoute, at: datetime) -> SourcePayload:
         day = at.date()
@@ -550,10 +545,9 @@ class FixtureDirectorySource:
             raise SourceError(f"no traffic fixture line at {want} in {origin}")
         if not line:
             raise SourceError(f"traffic fixture lines at {want} differ in {origin}")
-        return SourcePayload("traffic", at, line + "\n", origin)
+        return SourcePayload("traffic", line + "\n", origin)
 
     def fetch_pollution(self, station: PollutionStation, day: date,
-                        request_hour: int,
-                        fetched_at: datetime | None = None) -> SourcePayload:
+                        request_hour: int) -> SourcePayload:
         body, origin = self._read("pollution", station.file_id, day)
-        return SourcePayload("pollution", fetched_at or datetime.now(), body, origin)
+        return SourcePayload("pollution", body, origin)

@@ -286,15 +286,15 @@ def run_day(plan: CadencePlan, source, store, config,
                 summary.rejected += 1
                 failures.append(f"{raw.timestamp} {raw.target}: {exc}")
 
-    def backfill(meta, at) -> None:
-        payload = source.fetch_weather(meta, plan.day - timedelta(days=1), fetched_at=at)
+    def backfill(meta) -> None:
+        payload = source.fetch_weather(meta, plan.day - timedelta(days=1))
         readings, quarantined = parse_weather_observations(payload, stations)
         quarantine.extend(quarantined)
         summary.quarantined += len(quarantined)
         ingest(validate_weather, readings)
 
     def scrape(station, at) -> None:
-        payload = source.fetch_pollution(station, plan.day, min(23, at.hour), fetched_at=at)
+        payload = source.fetch_pollution(station, plan.day, min(23, at.hour))
         readings = parse_pollution_tables(payload)
         ingest(validate_pollution, assemble_station_day(readings, station, plan.day))
 
@@ -308,7 +308,7 @@ def run_day(plan: CadencePlan, source, store, config,
         elif entry.kind == WEATHER_BACKFILL:
             # One broken station feed must not cost the other 31.
             for meta in config.weather_stations:
-                _attempt(failures, "weather", meta.station.file_id, backfill, meta, entry.at)
+                _attempt(failures, "weather", meta.station.file_id, backfill, meta)
         elif entry.kind == POLLUTION_SCRAPE:
             for station in config.pollution_stations:
                 _attempt(failures, "pollution", station.file_id, scrape, station, entry.at)

@@ -31,10 +31,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime
-from itertools import chain
 from operator import attrgetter, getitem
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     MigrationRequired,
@@ -378,6 +377,26 @@ class Store:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _raise_for(self, exc: sqlite3.DatabaseError) -> NoReturn:
+        """Raise what a failed statement means: an IntegrityError as it is,
+        a missing table as StorageError, anything else StorageUnavailable."""
+        if isinstance(exc, sqlite3.IntegrityError):
+            raise exc
+        if "no such table" in str(exc):
+            raise StorageError(
+                f"store at {self.path} has no schema yet; run init first "
+                f"({exc})")
+        # Locked, read-only, full, failing or not SQLite: it is unusable.
+        raise StorageUnavailable(
+            f"cannot use store at {self.path}: {exc}") from exc
+
+    def _execute(self, sql: str, args: Sequence = ()) -> list:
+        """Run one statement and return its rows."""
+        try:
+            return self._conn.execute(sql, args).fetchall()
+        except sqlite3.DatabaseError as exc:
+            self._raise_for(exc)
+
     def _batches(self, sql: str, args: Sequence = ()) -> Iterator[list]:
         """Run one statement at the first ``next()``, which yields an
         empty batch, then yield its rows a batch at a time, all inside
@@ -389,20 +408,8 @@ class Store:
             yield []
             while batch := cursor.fetchmany(64):
                 yield batch
-        except sqlite3.IntegrityError:
-            raise
         except sqlite3.DatabaseError as exc:
-            if "no such table" in str(exc):
-                raise StorageError(
-                    f"store at {self.path} has no schema yet; run init first "
-                    f"({exc})")
-            # Locked, read-only, full, failing or not SQLite: it is unusable.
-            raise StorageUnavailable(
-                f"cannot use store at {self.path}: {exc}") from exc
-
-    def _execute(self, sql: str, args: Sequence = ()) -> list:
-        """Run one statement and return its rows."""
-        return list(chain.from_iterable(self._batches(sql, args)))
+            self._raise_for(exc)
 
     # -- schema ---------------------------------------------------------
 
@@ -580,9 +587,12 @@ class Store:
                f"AND t.{ts_col} BETWEEN ? AND ? "
                f"ORDER BY t.{loc_col}, t.{ts_col}")
         args = (*location_ids, _ts_text(start), _ts_text(end))
-        batches = self._batches(sql, args)
-        next(batches)
-        rows = _Cursor(batches) if stream else tuple(chain.from_iterable(batches))
+        if stream:
+            batches = self._batches(sql, args)
+            next(batches)
+            rows = _Cursor(batches)
+        else:
+            rows = tuple(self._execute(sql, args))
         return QueryResult(kind=table, columns=columns, rows=rows)
 
     def fetch_record(self, table: str, location_id: int, ts: datetime) -> dict | None:

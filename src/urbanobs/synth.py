@@ -124,8 +124,7 @@ def _diurnal(h: float, peak: float, mean: float, swing: float) -> float:
     return mean + swing * math.cos((h - peak) / 24.0 * 2.0 * math.pi)
 
 
-def gen_weather_day(profile: SynthProfile, meta, day: date,
-                    fetched_at: datetime | None = None) -> SourcePayload:
+def gen_weather_day(profile: SynthProfile, meta, day: date) -> SourcePayload:
     """One day of observations for one station at its cadence.
 
     `meta` is the configured station entry (station, tz, interval_min).
@@ -223,11 +222,8 @@ def gen_weather_day(profile: SynthProfile, meta, day: date,
         rows.append((station.file_id, format_timestamp(t), fields))
         t += timedelta(minutes=meta.interval_min)
     body = weather_payload_body(rows)
-    return SourcePayload(
-        "weather",
-        fetched_at or datetime.combine(day + timedelta(days=1), time(0, 30)),
-        body,
-        f"synth:weather/{station.file_id}/{day.isoformat()}")
+    return SourcePayload("weather", body,
+                         f"synth:weather/{station.file_id}/{day.isoformat()}")
 
 
 def _in_peak(minute_of_day: int, windows) -> bool:
@@ -250,12 +246,11 @@ def gen_traffic_response(profile: SynthProfile, route: TrafficRoute,
     t_curr = max(t_std, int(round(t_std * m)))
     body = traffic_payload_body(route.file_id, ts_text,
                                 str(dist), str(t_std), str(t_curr))
-    return SourcePayload("traffic", at, body, f"synth:traffic/{route.file_id}/{ts_text}")
+    return SourcePayload("traffic", body, f"synth:traffic/{route.file_id}/{ts_text}")
 
 
 def gen_pollution_day(profile: SynthProfile, station: PollutionStation,
-                      day: date, request_hour: int = 23,
-                      fetched_at: datetime | None = None) -> SourcePayload:
+                      day: date, request_hour: int = 23) -> SourcePayload:
     """Hourly contaminant tables for one station-day, 02:00 onwards.
 
     The tables list every hour from 02:00 through the request hour, one
@@ -288,11 +283,8 @@ def gen_pollution_day(profile: SynthProfile, station: PollutionStation,
             cells.append((f"{hour:02d}:00", str(v)))
         blocks.append((station.file_id, c.upper(), day.isoformat(), cells))
     body = pollution_payload_body(blocks)
-    return SourcePayload(
-        "pollution",
-        fetched_at or datetime.combine(day, time(min(23, request_hour), 59)),
-        body,
-        f"synth:pollution/{station.file_id}/{day.isoformat()}")
+    return SourcePayload("pollution", body,
+                         f"synth:pollution/{station.file_id}/{day.isoformat()}")
 
 
 class SynthSource:
@@ -301,15 +293,12 @@ class SynthSource:
     def __init__(self, profile: SynthProfile | None = None) -> None:
         self.profile = profile or SynthProfile()
 
-    def fetch_weather(self, meta, day: date,
-                      fetched_at: datetime | None = None) -> SourcePayload:
-        return gen_weather_day(self.profile, meta, day, fetched_at)
+    def fetch_weather(self, meta, day: date) -> SourcePayload:
+        return gen_weather_day(self.profile, meta, day)
 
     def fetch_traffic(self, route: TrafficRoute, at: datetime) -> SourcePayload:
         return gen_traffic_response(self.profile, route, at)
 
     def fetch_pollution(self, station: PollutionStation, day: date,
-                        request_hour: int = 23,
-                        fetched_at: datetime | None = None) -> SourcePayload:
-        return gen_pollution_day(self.profile, station, day, request_hour,
-                                 fetched_at)
+                        request_hour: int = 23) -> SourcePayload:
+        return gen_pollution_day(self.profile, station, day, request_hour)

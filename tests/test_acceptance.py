@@ -53,7 +53,6 @@ from urbanobs.validation import RuleSet, validate_pollution, validate_weather
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RULES = RuleSet.defaults()
-FETCHED = datetime(2016, 5, 17, 0, 30)
 
 
 def _report(n: int, elapsed: float, budget: float, text: str) -> None:
@@ -161,8 +160,7 @@ def _fuzz_pollution(rng: random.Random) -> dict[str, str]:
 def _weather_raw(fields) -> RawReading:
     return RawReading(kind="weather", target="apt_x",
                       timestamp="2016-05-16T08:00:00", fields=fields,
-                      origin="fuzz", fetched_at=FETCHED,
-                      station_kind="airport")
+                      origin="fuzz", station_kind="airport")
 
 
 def test_criterion_3_validation_na_substitution():
@@ -206,7 +204,7 @@ def test_criterion_3_validation_na_substitution():
         fields = _fuzz_pollution(rng)
         raw = RawReading(kind="pollution", target="sima_x",
                          timestamp="2016-05-16T08:00:00", fields=fields,
-                         origin="fuzz", fetched_at=FETCHED)
+                         origin="fuzz")
         rec, rep = validate_pollution(raw, RULES)
         reported = [e.attribute for e in rep.entries]
         for attr in fields:
@@ -233,7 +231,7 @@ def test_criterion_4_pollution_day_shape(default_cfg):
     # oracle fixture captured by hand
     manifest = json.loads((FIXTURES / "manifest.json").read_text())
     want = manifest["pollution_day.txt"]
-    payload = SourcePayload("pollution", FETCHED,
+    payload = SourcePayload("pollution",
                             (FIXTURES / "pollution_day.txt").read_text(),
                             "pollution_day.txt")
     readings = parse_pollution_tables(payload)
@@ -263,7 +261,7 @@ def test_criterion_4_pollution_day_shape(default_cfg):
     for hh in ("00", "01"):
         bad = RawReading(kind="pollution", target=station.file_id,
                          timestamp=f"2016-05-16T{hh}:00:00",
-                         fields={"pm10": "45"}, origin="t", fetched_at=FETCHED)
+                         fields={"pm10": "45"}, origin="t")
         with pytest.raises(RecordRejected):
             validate_pollution(bad, RULES)
 

@@ -839,6 +839,12 @@ class _FailingCursor:
         self._good -= len(rows)
         return rows
 
+    def fetchall(self) -> list:
+        rows = []
+        while batch := self.fetchmany(64):
+            rows += batch
+        return rows
+
 
 def _weathers_fail_after(good_rows: int,
                          message: str = "database disk image is malformed"):

@@ -42,11 +42,9 @@ from urbanobs.validation import RuleSet, validate_pollution
 FIXTURES = Path(__file__).parent / "fixtures"
 MANIFEST = json.loads((FIXTURES / "manifest.json").read_text())
 
-FETCHED = datetime(2016, 5, 17, 0, 30, 0)
-
 
 def _payload(kind: str, name: str) -> SourcePayload:
-    return SourcePayload(kind, FETCHED, (FIXTURES / name).read_text(), name)
+    return SourcePayload(kind, (FIXTURES / name).read_text(), name)
 
 
 @pytest.fixture(scope="module")
@@ -83,58 +81,58 @@ class TestWeatherParsing:
 
     def test_serialize_round_trip(self, stations):
         body = (FIXTURES / "weather_day.txt").read_text()
-        payload = SourcePayload("weather", FETCHED, body, "x")
+        payload = SourcePayload("weather", body, "x")
         readings, quarantined = parse_weather_observations(payload, stations)
         # the ghost line is quarantined, so rebuild without it
         rebuilt = weather_payload_body(
             (r.target, r.timestamp, r.fields) for r in readings)
         readings2, q2 = parse_weather_observations(
-            SourcePayload("weather", FETCHED, rebuilt, "x"), stations)
+            SourcePayload("weather", rebuilt, "x"), stations)
         assert readings2 == readings
         assert q2 == []
 
     def test_empty_payload(self, stations):
         readings, quarantined = parse_weather_observations(
-            SourcePayload("weather", FETCHED, "# nothing today\n", "x"), stations)
+            SourcePayload("weather", "# nothing today\n", "x"), stations)
         assert readings == [] and quarantined == []
 
     def test_unknown_key_rejected(self, stations):
         bad = "pws_obispado 2016-05-16T08:05:00 sunshine=11\n"
         with pytest.raises(ParseError, match="sunshine"):
             parse_weather_observations(
-                SourcePayload("weather", FETCHED, bad, "x"), stations)
+                SourcePayload("weather", bad, "x"), stations)
 
     def test_duplicate_key_rejected(self, stations):
         bad = "pws_obispado 2016-05-16T08:05:00 temp=20 temp=21\n"
         with pytest.raises(ParseError, match="duplicate"):
             parse_weather_observations(
-                SourcePayload("weather", FETCHED, bad, "x"), stations)
+                SourcePayload("weather", bad, "x"), stations)
 
     def test_airport_only_key_on_pws_rejected(self, stations):
         bad = "pws_obispado 2016-05-16T08:05:00 metar='METAR X'\n"
         with pytest.raises(ParseError, match="airport-only"):
             parse_weather_observations(
-                SourcePayload("weather", FETCHED, bad, "x"), stations)
+                SourcePayload("weather", bad, "x"), stations)
 
     def test_bad_timestamp_rejected(self, stations):
         bad = "pws_obispado yesterday temp=20\n"
         with pytest.raises(ParseError, match="timestamp"):
             parse_weather_observations(
-                SourcePayload("weather", FETCHED, bad, "x"), stations)
+                SourcePayload("weather", bad, "x"), stations)
 
     def test_error_carries_line_number(self, stations):
         bad = ("pws_obispado 2016-05-16T08:05:00 temp=20\n"
                "pws_obispado 2016-05-16T08:10:00 nope=1\n")
         with pytest.raises(ParseError) as err:
             parse_weather_observations(
-                SourcePayload("weather", FETCHED, bad, "feed"), stations)
+                SourcePayload("weather", bad, "feed"), stations)
         assert err.value.line_no == 2
         assert err.value.origin == "feed"
 
     def test_wrong_payload_kind(self, stations):
         with pytest.raises(PreconditionError):
             parse_weather_observations(
-                SourcePayload("traffic", FETCHED, "x 2016-05-16T00:00:00 1 2 3\n", "x"),
+                SourcePayload("traffic", "x 2016-05-16T00:00:00 1 2 3\n", "x"),
                 stations)
 
     @pytest.mark.parametrize("second, reason", [
@@ -149,7 +147,7 @@ class TestWeatherParsing:
         body = ("pws_obispado 2016-05-16T08:05:00 temp=20\n"
                 "pws_obispado 2016-05-16T08:10:00 temp=20\n" + second + "\n")
         readings, quarantined = parse_weather_observations(
-            SourcePayload("weather", FETCHED, body, "feed"), stations)
+            SourcePayload("weather", body, "feed"), stations)
         assert [r.timestamp for r in readings] == [
             "2016-05-16T08:05:00", "2016-05-16T08:10:00"]
         assert [(q.line_no, q.line, q.reason) for q in quarantined] == [
@@ -161,7 +159,7 @@ class TestWeatherParsing:
                 "pws_obispado 2016-05-16T08:05:00 temp=20\n")
         with pytest.raises(ParseError, match="bogus_key"):
             parse_weather_observations(
-                SourcePayload("weather", FETCHED, body, "x"), stations)
+                SourcePayload("weather", body, "x"), stations)
 
 
 ROUTE = TrafficRoute(file_id="downtown-aeropuerto",
@@ -184,7 +182,7 @@ class TestTrafficParsing:
     def test_serialize_round_trip(self):
         body = (FIXTURES / "traffic_single.txt").read_text()
         raw = parse_traffic_response(
-            SourcePayload("traffic", FETCHED, body, "x"), ROUTE)
+            SourcePayload("traffic", body, "x"), ROUTE)
         rebuilt = traffic_payload_body(
             raw.target, raw.timestamp, raw.fields["traveldist"],
             raw.fields["traveltime_std"], raw.fields["traveltime_curr"])
@@ -193,18 +191,18 @@ class TestTrafficParsing:
     def test_missing_field_rejected(self):
         bad = "downtown-aeropuerto 2016-05-16T07:48:00 18560 1215\n"
         with pytest.raises(ParseError, match="5 fields"):
-            parse_traffic_response(SourcePayload("traffic", FETCHED, bad, "x"), ROUTE)
+            parse_traffic_response(SourcePayload("traffic", bad, "x"), ROUTE)
 
     def test_wrong_route_rejected(self):
         bad = "elsewhere-aeropuerto 2016-05-16T07:48:00 18560 1215 2066\n"
         with pytest.raises(ParseError, match="elsewhere"):
-            parse_traffic_response(SourcePayload("traffic", FETCHED, bad, "x"), ROUTE)
+            parse_traffic_response(SourcePayload("traffic", bad, "x"), ROUTE)
 
     def test_two_records_rejected(self):
         bad = ("downtown-aeropuerto 2016-05-16T07:48:00 18560 1215 2066\n"
                "downtown-aeropuerto 2016-05-16T08:00:00 18560 1215 2066\n")
         with pytest.raises(ParseError, match="exactly one"):
-            parse_traffic_response(SourcePayload("traffic", FETCHED, bad, "x"), ROUTE)
+            parse_traffic_response(SourcePayload("traffic", bad, "x"), ROUTE)
 
 
 STATION = PollutionStation(file_id="sima_centro", lat=25.67, long=-100.338)
@@ -259,25 +257,25 @@ class TestPollutionParsing:
             bad = (f"station=sima_centro contaminant=PM10 date=2016-05-16\n"
                    f"{hh}:00 40\n")
             with pytest.raises(ParseError, match="00 or 01"):
-                parse_pollution_tables(SourcePayload("pollution", FETCHED, bad, "x"))
+                parse_pollution_tables(SourcePayload("pollution", bad, "x"))
 
     def test_unknown_contaminant_rejected(self):
         bad = "station=sima_centro contaminant=NH3 date=2016-05-16\n02:00 40\n"
         with pytest.raises(ParseError, match="NH3"):
-            parse_pollution_tables(SourcePayload("pollution", FETCHED, bad, "x"))
+            parse_pollution_tables(SourcePayload("pollution", bad, "x"))
 
     def test_duplicate_cell_conflicts(self):
         bad = ("station=sima_centro contaminant=PM10 date=2016-05-16\n"
                "02:00 40\n02:00 44\n")
         with pytest.raises(ConflictError):
-            parse_pollution_tables(SourcePayload("pollution", FETCHED, bad, "x"))
+            parse_pollution_tables(SourcePayload("pollution", bad, "x"))
 
     def test_duplicate_cell_across_blocks_conflicts(self):
         bad = ("station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 40\n"
                "\n"
                "station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 41\n")
         with pytest.raises(ConflictError):
-            parse_pollution_tables(SourcePayload("pollution", FETCHED, bad, "x"))
+            parse_pollution_tables(SourcePayload("pollution", bad, "x"))
 
     @pytest.mark.parametrize("body, message, line_no", [
         ("station=sima_centro contaminant=PM10\n02:00 40\n",
@@ -297,13 +295,13 @@ class TestPollutionParsing:
             "hour-tokens", "hour-words", "hour"])
     def test_structural_errors_are_positioned(self, body, message, line_no):
         with pytest.raises(ParseError) as err:
-            parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+            parse_pollution_tables(SourcePayload("pollution", body, "x"))
         assert str(err.value) == f"{message} [x:{line_no}]"
         assert err.value.line_no == line_no
 
     def test_ascii_dash_also_means_na(self):
         body = "station=sima_centro contaminant=PM10 date=2016-05-16\n02:00 -\n"
-        readings = parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+        readings = parse_pollution_tables(SourcePayload("pollution", body, "x"))
         assert len(readings) == 1 and readings[0].fields == {}
 
     def test_mixed_station_assembly_rejected(self):
@@ -320,7 +318,7 @@ class TestPollutionParsing:
     def test_all_dash_hour_still_yields_candidate(self):
         body = ("station=sima_centro contaminant=PM10 date=2016-05-16\n"
                 f"02:00 {NA_CELL}\n")
-        readings = parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+        readings = parse_pollution_tables(SourcePayload("pollution", body, "x"))
         candidates = assemble_station_day(readings, STATION, DAY)
         assert len(candidates) == 1
         assert candidates[0].fields == {}
@@ -330,7 +328,7 @@ class TestPollutionParsing:
         blocks = []
         # rebuild the blocks from the parsed cells plus the known grid
         readings = parse_pollution_tables(
-            SourcePayload("pollution", FETCHED, body, "x"))
+            SourcePayload("pollution", body, "x"))
         by_cell = {}
         hours = sorted({r.timestamp[11:16] for r in readings})
         for r in readings:
@@ -378,6 +376,23 @@ class TestFixtureDirectorySource:
 
         payload = src.fetch_pollution(STATION, DAY, 23)
         assert "PM10" in payload.body
+
+    def test_fetches_of_one_file_are_equal(self, tmp_path):
+        # A replay reads no clock: a payload is the file's text and path.
+        root = self._layout(tmp_path)
+        src = FixtureDirectorySource(root)
+
+        class Meta:
+            class station:
+                file_id = "pws_obispado"
+
+        for fetch, args, path in (
+                (src.fetch_weather, (Meta, DAY), "weather/pws_obispado"),
+                (src.fetch_pollution, (STATION, DAY, 23), "pollution/sima_centro")):
+            first = fetch(*args)
+            assert fetch(*args) == first
+            path = root / path / "2016-05-16.txt"
+            assert (first.body, first.origin) == (path.read_text(), str(path))
 
     def test_missing_fixture_errors(self, tmp_path):
         src = FixtureDirectorySource(self._layout(tmp_path))
@@ -469,7 +484,7 @@ def _scan_fetch_traffic(root: Path, route, at: datetime) -> SourcePayload:
         raise SourceError(f"no traffic fixture line at {want} in {path}")
     if len(set(found)) > 1:
         raise SourceError(f"traffic fixture lines at {want} differ in {path}")
-    return SourcePayload("traffic", at, found[0] + "\n", str(path))
+    return SourcePayload("traffic", found[0] + "\n", str(path))
 
 
 def _fetch_outcome(fetch, *args):
@@ -477,7 +492,7 @@ def _fetch_outcome(fetch, *args):
         p = fetch(*args)
     except SourceError as exc:
         return ("error", str(exc))
-    return (p.source_kind, p.fetched_at, p.body, p.origin)
+    return (p.source_kind, p.body, p.origin)
 
 
 def test_indexed_traffic_fetch_matches_scan(tmp_path, default_cfg):
@@ -510,9 +525,9 @@ def test_indexed_traffic_fetch_matches_scan(tmp_path, default_cfg):
 
 def test_payload_kind_checked():
     with pytest.raises(PreconditionError):
-        SourcePayload("video", FETCHED, "x\n", "x")
+        SourcePayload("video", "x\n", "x")
     with pytest.raises(PreconditionError):
-        SourcePayload("weather", FETCHED, "", "x")
+        SourcePayload("weather", "", "x")
 
 
 @pytest.mark.parametrize("text", [
@@ -522,7 +537,7 @@ def test_payload_kind_checked():
 def test_pollution_header_date_must_be_padded_iso(text):
     body = f"station=sima_centro contaminant=PM10 date={text}\n02:00 40\n"
     with pytest.raises(ParseError) as err:
-        parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+        parse_pollution_tables(SourcePayload("pollution", body, "x"))
     assert str(err.value) == f"bad date {text!r} [x:1]"
 
 
@@ -531,11 +546,11 @@ class TestUnpaddedPollutionHour:
         bad = ("station=sima_centro contaminant=PM10 date=2016-05-16\n"
                "03:00 40\n3:00 41\n")
         with pytest.raises(ConflictError, match="03:00"):
-            parse_pollution_tables(SourcePayload("pollution", FETCHED, bad, "x"))
+            parse_pollution_tables(SourcePayload("pollution", bad, "x"))
 
     def test_lone_unpadded_hour_stored_at_padded_hour(self):
         body = "station=sima_centro contaminant=PM10 date=2016-05-16\n3:00 41\n"
-        readings = parse_pollution_tables(SourcePayload("pollution", FETCHED, body, "x"))
+        readings = parse_pollution_tables(SourcePayload("pollution", body, "x"))
         assert [r.timestamp for r in readings] == ["2016-05-16T03:00:00"]
         (candidate,) = assemble_station_day(readings, STATION, DAY)
         record, report = validate_pollution(candidate, RuleSet.defaults())
@@ -570,7 +585,7 @@ class TestFastTokenizer:
         else:
             return
         with pytest.raises(ParseError) as err:
-            parse_weather_observations(SourcePayload("weather", FETCHED, line, "x"),
+            parse_weather_observations(SourcePayload("weather", line, "x"),
                                        stations)
         assert str(err.value) == want
 
@@ -578,7 +593,7 @@ class TestFastTokenizer:
         # A backtracking word pattern would take exponential time here.
         line = "pws_obispado 2016-05-16T08:05:00 " + "ab'c'd " * 2000 + "temp='20"
         with pytest.raises(ParseError, match="unbalanced quoting"):
-            parse_weather_observations(SourcePayload("weather", FETCHED, line, "x"),
+            parse_weather_observations(SourcePayload("weather", line, "x"),
                                        stations)
 
     @settings(max_examples=200, deadline=None)
@@ -593,7 +608,7 @@ class TestFastTokenizer:
         airport = next(s for s in stations.values() if s.is_airport)
         body = weather_payload_body([(airport.file_id, "2016-05-16T08:00:00", fields)])
         readings, quarantined = parse_weather_observations(
-            SourcePayload("weather", FETCHED, body, "x"), stations)
+            SourcePayload("weather", body, "x"), stations)
         assert quarantined == []
         assert [dict(r.fields) for r in readings] == [fields]
 

@@ -52,8 +52,6 @@ from urbanobs.validation import (
     validate_weather,
 )
 
-FETCHED = datetime(2016, 5, 17, 0, 30)
-
 
 @pytest.fixture(scope="module")
 def stations(default_cfg):
@@ -114,14 +112,13 @@ def _reference_parse_weather(payload, stations):
             continue
         first[key] = RawReading(
             kind="weather", target=file_id, timestamp=ts_text, fields=fields,
-            origin=payload.origin, fetched_at=payload.fetched_at,
-            station_kind=station.kind)
+            origin=payload.origin, station_kind=station.kind)
         readings.append(first[key])
     return readings, quarantined
 
 
 def _parse_outcome(fn, body, stations):
-    payload = SourcePayload("weather", FETCHED, body, "x")
+    payload = SourcePayload("weather", body, "x")
     try:
         return fn(payload, stations)
     except ParseError as exc:
@@ -179,7 +176,7 @@ class TestWeatherLineParse:
         with mock.patch.object(connectors.shlex, "split",
                                side_effect=AssertionError("general path taken")):
             readings, quarantined = parse_weather_observations(
-                SourcePayload("weather", FETCHED, body, "x"), stations)
+                SourcePayload("weather", body, "x"), stations)
         assert quarantined == []
         assert [dict(r.fields) for r in readings] == [
             {"time_zone": "CST", "temp": "21.5", "cond": "Partly Cloudy"},
@@ -474,7 +471,7 @@ class TestCompiledValidators:
            st.sampled_from(["pws_obispado", ""]))
     def test_weather(self, rules, fields, station_kind, ts, target):
         raw = RawReading(kind="weather", target=target, timestamp=ts, fields=fields,
-                         origin="x", fetched_at=FETCHED, station_kind=station_kind)
+                         origin="x", station_kind=station_kind)
         assert _validate_outcome(validate_weather, raw, rules) == \
             _validate_outcome(_ref_validate_weather, raw, rules)
 
@@ -483,7 +480,7 @@ class TestCompiledValidators:
            _READING_TS)
     def test_traffic(self, rules, fields, ts):
         raw = RawReading(kind="traffic", target="a-b", timestamp=ts, fields=fields,
-                         origin="x", fetched_at=FETCHED)
+                         origin="x")
         assert _validate_outcome(validate_traffic, raw, rules) == \
             _validate_outcome(_ref_validate_traffic, raw, rules)
 
@@ -492,7 +489,7 @@ class TestCompiledValidators:
            _READING_TS)
     def test_pollution(self, rules, fields, ts):
         raw = RawReading(kind="pollution", target="sima_centro", timestamp=ts,
-                         fields=fields, origin="x", fetched_at=FETCHED)
+                         fields=fields, origin="x")
         assert _validate_outcome(validate_pollution, raw, rules) == \
             _validate_outcome(_ref_validate_pollution, raw, rules)
 

@@ -34,7 +34,12 @@ from urbanobs.scheduler import (
 )
 from urbanobs.cli import bootstrap_store
 from urbanobs.storage import Store, export_csv, import_csv, queryable_attributes
-from urbanobs.synth import SynthSource
+from urbanobs.synth import (
+    SynthSource,
+    gen_pollution_day,
+    gen_traffic_response,
+    gen_weather_day,
+)
 from urbanobs.validation import RuleSet, validate_weather
 
 DAY = date(2016, 5, 16)
@@ -214,13 +219,13 @@ class TestSimulatedClock:
 
 
 class FailingSource:
-    def fetch_weather(self, meta, day, fetched_at=None):
+    def fetch_weather(self, meta, day):
         raise SourceError(f"weather feed down for {meta.station.file_id}")
 
     def fetch_traffic(self, route, at):
         raise SourceError(f"traffic api down for {route.file_id}")
 
-    def fetch_pollution(self, station, day, request_hour, fetched_at=None):
+    def fetch_pollution(self, station, day, request_hour):
         raise SourceError(f"pollution site down for {station.file_id}")
 
 
@@ -256,6 +261,27 @@ class TestRunDay:
         assert summary.stored == sum(
             counts[t] for t in ("weathers", "traffics", "pollutions"))
         assert "fired=6" in summary.line()
+
+    def test_the_three_method_interface_drives_a_day(self, tiny_cfg, tiny_store,
+                                                     plan):
+        profile = tiny_cfg.profile
+
+        class MinimalSource:
+            def fetch_weather(self, meta, day):
+                return gen_weather_day(profile, meta, day)
+
+            def fetch_traffic(self, route, at):
+                return gen_traffic_response(profile, route, at)
+
+            def fetch_pollution(self, station, day, request_hour):
+                return gen_pollution_day(profile, station, day, request_hour)
+
+        with Store(":memory:") as want:
+            bootstrap_store(want, tiny_cfg)
+            expected = run_day(plan, SynthSource(profile), want, tiny_cfg)
+            summary = run_day(plan, MinimalSource(), tiny_store, tiny_cfg)
+            assert summary == expected and summary.failures == []
+            assert list(tiny_store._conn.iterdump()) == list(want._conn.iterdump())
 
     def test_rerun_is_idempotent(self, tiny_cfg, tiny_store, plan):
         first = run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)
@@ -365,10 +391,10 @@ class TestRunDay:
 
     def test_quarantined_lines_reach_the_sink(self, tiny_cfg, tiny_store, plan):
         class GhostSource(SynthSource):
-            def fetch_weather(self, meta, day, fetched_at=None):
-                p = super().fetch_weather(meta, day, fetched_at)
+            def fetch_weather(self, meta, day):
+                p = super().fetch_weather(meta, day)
                 extra = f"pws_ghost {day.isoformat()}T00:00:00 temp=20.0\n"
-                return SourcePayload("weather", p.fetched_at, p.body + extra,
+                return SourcePayload("weather", p.body + extra,
                                      p.origin)
 
         sink = []
@@ -382,15 +408,15 @@ class TestRunDay:
         bad = {}
 
         class SandstormSource(SynthSource):
-            def fetch_weather(self, meta, day, fetched_at=None):
-                p = super().fetch_weather(meta, day, fetched_at)
+            def fetch_weather(self, meta, day):
+                p = super().fetch_weather(meta, day)
                 if meta.station.file_id != "apt_one":
                     return p
                 lines = p.body.splitlines()
                 lines[5], n = re.subn(r"cond=('[^']*'|\S+)", "cond=Sandstorm", lines[5])
                 assert n == 1
                 bad["ts"] = lines[5].split()[1]
-                return SourcePayload("weather", p.fetched_at,
+                return SourcePayload("weather",
                                      "\n".join(lines) + "\n", p.origin)
 
         summary = run_day(plan, SandstormSource(tiny_cfg.profile), tiny_store, tiny_cfg)
@@ -412,7 +438,7 @@ class TestRunDay:
                     return p
                 file_id, ts, _dist, t_std, t_curr = p.body.split()
                 rejected.update(ts=ts, route=file_id)
-                return SourcePayload("traffic", p.fetched_at,
+                return SourcePayload("traffic",
                                      f"{file_id} {ts} abc {t_std} {t_curr}\n",
                                      p.origin)
 
@@ -428,13 +454,13 @@ class TestRunDay:
         # A rules file replaces the defaults, so it can admit a humidity
         # that WeatherRecord refuses; the station's other readings stay.
         class HumidSource(SynthSource):
-            def fetch_weather(self, meta, day, fetched_at=None):
-                p = super().fetch_weather(meta, day, fetched_at)
+            def fetch_weather(self, meta, day):
+                p = super().fetch_weather(meta, day)
                 if meta.station.file_id != "apt_one":
                     return p
                 body, n = re.subn(r"hum=\S+", "hum=120", p.body, count=1)
                 assert n == 1
-                return SourcePayload("weather", p.fetched_at, body, p.origin)
+                return SourcePayload("weather", body, p.origin)
 
         cfg = dataclasses.replace(tiny_cfg,
                                   rules=RuleSet.from_text("weathers.hum 0 150\n"))
@@ -449,7 +475,7 @@ class TestRunDay:
             def fetch_traffic(self, route, at):
                 p = super().fetch_traffic(route, at)
                 file_id, ts, _dist, t_std, t_curr = p.body.split()
-                return SourcePayload("traffic", p.fetched_at,
+                return SourcePayload("traffic",
                                      f"{file_id} {ts} 0 {t_std} {t_curr}\n", p.origin)
 
         cfg = dataclasses.replace(tiny_cfg,
@@ -494,10 +520,10 @@ class OneFeedSource:
     def __init__(self, station: str, body: str) -> None:
         self.station, self.body = station, body
 
-    def fetch_weather(self, meta, day, fetched_at=None):
+    def fetch_weather(self, meta, day):
         body = (self.body if meta.station.file_id == self.station
                 else "# no observations\n")
-        return SourcePayload("weather", fetched_at, body, meta.station.file_id)
+        return SourcePayload("weather", body, meta.station.file_id)
 
 
 def _backfill(cfg, store, body, day=date(2016, 10, 31), station="apt_escobedo"):
@@ -553,7 +579,7 @@ class TestEmptyTextField:
         stations = {m.station.file_id: m.station
                     for m in default_cfg.weather_stations}
         (raw,), _ = connectors.parse_weather_observations(
-            SourcePayload("weather", datetime(2016, 5, 16), line, "x"), stations)
+            SourcePayload("weather", line, "x"), stations)
         _, report = validate_weather(raw, default_cfg.rules)
         assert [(e.attribute, e.value, e.rule) for e in report.entries] == [
             (field, "", "non-empty text")]

@@ -24,25 +24,23 @@ from urbanobs.validation import (
     validate_weather,
 )
 
-FETCHED = datetime(2016, 5, 17, 0, 30)
 RULES = RuleSet.defaults()
 
 
 def weather_reading(fields, target="pws_obispado",
                     ts="2016-05-16T08:05:00", station_kind="pws"):
     return RawReading(kind="weather", target=target, timestamp=ts,
-                      fields=fields, origin="test", fetched_at=FETCHED,
-                      station_kind=station_kind)
+                      fields=fields, origin="test", station_kind=station_kind)
 
 
 def traffic_reading(fields, target="a-b", ts="2016-05-16T07:48:00"):
     return RawReading(kind="traffic", target=target, timestamp=ts,
-                      fields=fields, origin="test", fetched_at=FETCHED)
+                      fields=fields, origin="test")
 
 
 def pollution_reading(fields, target="sima_centro", ts="2016-05-16T08:00:00"):
     return RawReading(kind="pollution", target=target, timestamp=ts,
-                      fields=fields, origin="test", fetched_at=FETCHED)
+                      fields=fields, origin="test")
 
 
 class TestRangeRule:
