@@ -9,7 +9,7 @@ Weather payload, one observation per line::
 
     <station_file_id> <ISO-8601 local timestamp> key=value ...
 
-Values with spaces are shell-quoted. A key that is absent means the
+Every value is written through shlex.quote. A key that is absent means the
 sensor did not report. Lines starting with '#' and blank lines are
 ignored.
 
@@ -138,30 +138,12 @@ def _content_lines(body: str) -> list[tuple[int, str]]:
     return out
 
 
-# The zero-padded ASCII form every serializer writes. Anything else
-# (unpadded fields, other digits, lower-case 't') is left to strptime.
-_TIMESTAMP_RE = re.compile(
-    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
-
-
 # Memoized: a record's timestamp is parsed by the parser's check and
 # again by validation, and a day's payloads share about 400 distinct
 # texts. datetimes are immutable, so sharing one is safe; errors are
 # not cached. 1024 entries hold about 250 kB.
 @functools.lru_cache(maxsize=1024)
 def _parse_timestamp_text(text: str) -> datetime:
-    """datetime.strptime(text, TIMESTAMP_FMT), fast for the padded form.
-
-    Accepts and rejects exactly what strptime does: a fixed-width match
-    whose fields are out of range falls through to strptime, which then
-    raises its own ValueError.
-    """
-    m = _TIMESTAMP_RE.fullmatch(text)
-    if m is not None:
-        try:
-            return datetime(*map(int, m.groups()))
-        except ValueError:
-            pass
     return datetime.strptime(text, TIMESTAMP_FMT)
 
 
@@ -430,10 +412,6 @@ def assemble_station_day(
     return out
 
 
-# shlex.quote's own test for a value it returns unchanged.
-_UNSAFE_CHAR = re.compile(r"[^\w@%+=:,./-]", re.ASCII).search
-
-
 def weather_payload_body(
     rows: Iterable[tuple[str, str, Mapping[str, str]]],
 ) -> str:
@@ -448,11 +426,7 @@ def weather_payload_body(
             unknown = next(k for k in fields if k not in _WEATHER_KEY_SET)
             raise PreconditionError(f"unknown weather key {unknown!r}")
         keys = [key for key in WEATHER_KEYS if key in fields]
-        values = [fields[key] for key in keys]
-        # A row of safe, non-empty values is written as is, which is what
-        # shlex.quote returns for each of them.
-        if _UNSAFE_CHAR("".join(values)) or "" in values:
-            values = list(map(shlex.quote, values))
+        values = map(shlex.quote, [fields[key] for key in keys])
         lines.append(" ".join([file_id, ts_text, *map("=".join, zip(keys, values))]))
     return "\n".join(lines) + "\n" if lines else "# no observations\n"
 

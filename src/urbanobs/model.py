@@ -407,8 +407,9 @@ def enumerate_routes(points: Sequence[GeoPoint]) -> list[TrafficRoute]:
     """All ordered pairs over the given points, as routes.
 
     n points yield exactly n*(n-1) routes, in deterministic order by
-    (start name, end name). Duplicate names or duplicate coordinates
-    are configuration errors.
+    (start name, end name). A route's id is "<start>-<end>". Duplicate
+    names, duplicate coordinates and two pairs that give one id are
+    configuration errors.
     """
     if len(points) < 2:
         raise ConfigError("route enumeration needs at least two points")
@@ -426,12 +427,19 @@ def enumerate_routes(points: Sequence[GeoPoint]) -> list[TrafficRoute]:
         seen_coords[key] = p.name
     ordered = sorted(points, key=lambda p: p.name)
     routes = []
+    pairs: dict[str, str] = {}
     for a in ordered:
         for b in ordered:
             if a.name == b.name:
                 continue
+            file_id = f"{a.name}-{b.name}"
+            pair = f"{a.name!r} -> {b.name!r}"
+            if file_id in pairs:
+                raise ConfigError(
+                    f"routes {pairs[file_id]} and {pair} share the id {file_id!r}")
+            pairs[file_id] = pair
             routes.append(TrafficRoute(
-                file_id=f"{a.name}-{b.name}",
+                file_id=file_id,
                 start_lat=a.lat, start_long=a.long,
                 end_lat=b.lat, end_long=b.long,
                 description_from=a.description or a.name,

@@ -164,6 +164,14 @@ class TestRoutes:
         with pytest.raises(ConfigError, match="share coordinates"):
             enumerate_routes(pts)
 
+    def test_two_pairs_sharing_an_id_rejected(self):
+        # a -> b-c and a-b -> c would both be route "a-b-c"
+        pts = [GeoPoint(name=name, lat=25.0 + i * 0.01, long=-100.0)
+               for i, name in enumerate(["a-b", "c", "a", "b-c"])]
+        with pytest.raises(ConfigError, match=(
+                "routes 'a' -> 'b-c' and 'a-b' -> 'c' share the id 'a-b-c'")):
+            enumerate_routes(pts)
+
     def test_too_few_points(self):
         with pytest.raises(ConfigError):
             enumerate_routes(_mkpoints(1))
