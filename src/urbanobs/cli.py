@@ -46,10 +46,6 @@ from .storage import (
 )
 from .synth import SynthSource
 
-# Widest range the stored text timestamps can express with 4-digit years.
-_ALL_TIME_START = datetime(1000, 1, 1, 0, 0, 0)
-_ALL_TIME_END = datetime(9999, 12, 31, 23, 59, 59)
-
 
 def _load_config(args) -> config_mod.Config:
     if args.config:
@@ -203,8 +199,8 @@ def _run_query(args, attrs: list[str] | None) -> int:
     table = resolve_table(args.table)
     with Store(_existing_store(path)) as store:
         locs = _resolve_locations(store, table, args.loc)
-        start = _parse_when(args.start, False) if args.start else _ALL_TIME_START
-        end = _parse_when(args.end, True) if args.end else _ALL_TIME_END
+        start = _parse_when(args.start, False) if args.start else datetime.min
+        end = _parse_when(args.end, True) if args.end else datetime.max
         attributes = attrs if attrs is not None else list(queryable_attributes(table))
         if not args.csv:
             _print_rows(store.query_attribute(table, attributes, locs, start, end))

@@ -48,7 +48,6 @@ from .model import (
     PollutionStation,
     TrafficRoute,
     WeatherStation,
-    format_timestamp,
 )
 
 __all__ = [
@@ -513,7 +512,7 @@ class FixtureDirectorySource:
                     index[tokens[1]] = ""
             self._traffic[route.file_id] = (
                 day, origin, (st.st_mtime_ns, st.st_size), index)
-        want = format_timestamp(at)
+        want = at.isoformat()
         line = index.get(want)
         if line is None:
             raise SourceError(f"no traffic fixture line at {want} in {origin}")

@@ -38,7 +38,6 @@ __all__ = [
     "WEATHER_NUMERIC_ATTRIBUTES",
     "TRAFFIC_ATTRIBUTES",
     "AIRPORT_ONLY_ATTRIBUTES",
-    "format_timestamp",
 ]
 
 IMECA_MIN = 0
@@ -127,15 +126,14 @@ def haversine_m(lat1: float, long1: float, lat2: float, long2: float) -> float:
     return 2 * _EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
-def format_timestamp(ts: datetime, sep: str = "T") -> str:
-    """ts.strftime(f"%Y-%m-%d{sep}%H:%M:%S"), through isoformat where equal.
-
-    isoformat pads the year to four digits and appends microseconds and
-    any UTC offset, so those cases keep strftime.
-    """
-    if ts.microsecond or ts.year < 1000 or ts.tzinfo is not None:
-        return ts.strftime(f"%Y-%m-%d{sep}%H:%M:%S")
-    return ts.isoformat(sep)
+def _check_timestamp(ts: datetime, kind: str) -> None:
+    """A record's timestamp is naive and in whole seconds, so its
+    isoformat text is 'YYYY-MM-DDTHH:MM:SS' and sorts chronologically."""
+    if not isinstance(ts, datetime):
+        raise OutOfRangeError(f"{kind} record needs a datetime timestamp")
+    if ts.tzinfo is not None or ts.microsecond:
+        raise OutOfRangeError(
+            f"{kind} timestamp {ts} is not naive local time in whole seconds")
 
 
 def _check_coords(lat: float, long: float, what: str) -> None:
@@ -261,7 +259,7 @@ class WeatherRecord:
 
     Attribute value None means not-available: either the source never
     reported the field or validation nulled it. Timestamps are naive
-    local time; tz names the zone through the code table.
+    local time in whole seconds; tz names the zone through the code table.
     """
 
     timestamp: datetime
@@ -294,8 +292,7 @@ class WeatherRecord:
     metar: str | None = None           # raw aviation report, kept verbatim
 
     def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, datetime):
-            raise OutOfRangeError("weather record needs a datetime timestamp")
+        _check_timestamp(self.timestamp, "weather")
         if not self.station:
             raise OutOfRangeError("weather record needs a station")
         if self.hum is not None and not (0 <= self.hum <= 100):
@@ -331,8 +328,7 @@ class TrafficRecord:
     traveltime_curr: float  # seconds, current estimate
 
     def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, datetime):
-            raise OutOfRangeError("traffic record needs a datetime timestamp")
+        _check_timestamp(self.timestamp, "traffic")
         if not self.route:
             raise OutOfRangeError("traffic record needs a route")
         for name in TRAFFIC_ATTRIBUTES:
@@ -360,11 +356,10 @@ class PollutionRecord:
     pm25: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, datetime):
-            raise OutOfRangeError("pollution record needs a datetime timestamp")
+        _check_timestamp(self.timestamp, "pollution")
         if not self.station:
             raise OutOfRangeError("pollution record needs a station")
-        if self.timestamp.minute or self.timestamp.second or self.timestamp.microsecond:
+        if self.timestamp.minute or self.timestamp.second:
             raise OutOfRangeError(
                 f"pollution timestamp {self.timestamp} is not an exact hour"
             )

@@ -11,9 +11,10 @@ order, and sorts nothing; an export is one query, streamed from its
 cursor. A store created with the older (timestamp, location) key keeps
 it and answers the same, only slower.
 
-Timestamps are stored as naive local text 'YYYY-MM-DD HH:MM:SS' next
-to a time-zone code reference, so lexicographic order is chronological
-and inclusive BETWEEN ranges behave predictably.
+Timestamps are stored as naive local text 'YYYY-MM-DD HH:MM:SS', the
+datetime's isoformat(" "), next to a time-zone code reference. Records
+hold whole seconds and the year has four digits, so lexicographic order
+is chronological and inclusive BETWEEN ranges behave predictably.
 
 Each table is stated once, by its `_SCHEMA` DDL, which is also the text
 SQLite stores; every column role, query attribute, CSV cell type,
@@ -50,7 +51,6 @@ from .model import (
     TrafficRoute,
     WeatherRecord,
     WeatherStation,
-    format_timestamp,
 )
 
 __all__ = [
@@ -348,10 +348,6 @@ def _insert_plan(table: str) -> tuple:
 _INSERT_PLANS = {k.record: _insert_plan(t) for t, k in _KINDS.items()}
 
 
-def _ts_text(ts: datetime) -> str:
-    return format_timestamp(ts, " ")
-
-
 class Store:
     """One open database handle plus the operations the pipeline needs.
 
@@ -528,7 +524,7 @@ class Store:
         table, catalog, noun, location_of, values_of, codes = plan
         loc_id = self._resolve(catalog, location_of(rec), noun)
         args = [*values_of(rec), loc_id]
-        args[0] = _ts_text(args[0])
+        args[0] = args[0].isoformat(" ")
         for i, lookup, what in codes:
             if args[i] is not None:
                 args[i] = self._resolve(lookup, args[i], what)
@@ -554,7 +550,8 @@ class Store:
     ) -> QueryResult:
         """Attribute values over a time range at a set of locations.
 
-        The range is inclusive on both ends. Code-backed attributes
+        The range is inclusive on both ends; its bounds are naive local
+        time, and one with a time zone raises. Code-backed attributes
         come back as their codes. Unknown attribute or table names
         raise; an empty location list returns an empty result; location
         ids that match nothing simply contribute no rows. The rows are
@@ -562,6 +559,8 @@ class Store:
         statement has run on return and ``rows`` reads its cursor once.
         """
         table = resolve_table(table)
+        if start.tzinfo is not None or end.tzinfo is not None:
+            raise QueryError(f"range {start} .. {end} carries a time zone")
         if start > end:
             raise QueryError(f"range start {start} is after end {end}")
         known = _ATTRS[table]
@@ -586,7 +585,7 @@ class Store:
                f"WHERE t.{loc_col} IN ({marks}) "
                f"AND t.{ts_col} BETWEEN ? AND ? "
                f"ORDER BY t.{loc_col}, t.{ts_col}")
-        args = (*location_ids, _ts_text(start), _ts_text(end))
+        args = (*location_ids, start.isoformat(" "), end.isoformat(" "))
         if stream:
             batches = self._batches(sql, args)
             next(batches)
@@ -692,17 +691,20 @@ def _lines(text: str) -> Iterator[str]:
 
 
 class _Cells(dict):
-    """Cell text -> value, each distinct text converted once; "" is NA.
+    """Cell text -> value, each distinct text converted once; "" is NA,
+    except in the timestamp and location columns, which refuse it.
 
     Equal cells then share one value object, and a lookup that hits
     runs no Python code.
     """
 
-    def __init__(self, convert: type) -> None:
-        super().__init__({"": None})
-        self.convert = convert
+    def __init__(self, column: str, convert: type) -> None:
+        super().__init__({} if column in ("timestamp", "location") else {"": None})
+        self.column, self.convert = column, convert
 
     def __missing__(self, text: str):
+        if not text:
+            raise ValueError(f"{self.column} cell is empty")
         value = self[text] = self.convert(text)
         return value
 
@@ -711,7 +713,8 @@ def import_csv(text: str, table: str) -> QueryResult:
     """Parse CSV produced by export_csv back into a typed result.
 
     Malformed input raises QueryError: a cell that is not of its
-    column's type or that the csv module cannot read names its CSV line.
+    column's type, an empty timestamp or location cell, or a cell that
+    the csv module cannot read names its CSV line.
     """
     table = resolve_table(table)
     reader = csv.reader(_lines(text))
@@ -726,7 +729,7 @@ def import_csv(text: str, table: str) -> QueryResult:
             if col not in cell_type:
                 raise QueryError(
                     f"CSV column {col!r} is not a {table} attribute")
-        cells = [_Cells(cell_type[col]) for col in header]
+        cells = [_Cells(col, cell_type[col]) for col in header]
         rows = []
         for row in reader:
             if len(row) != len(header):

@@ -34,7 +34,6 @@ from .model import (
     PollutionStation,
     TrafficRoute,
     compass_point,
-    format_timestamp,
     haversine_m,
 )
 
@@ -219,7 +218,7 @@ def gen_weather_day(profile: SynthProfile, meta, day: date) -> SourcePayload:
                 f"METAR {station.airport_code} {day.day:02d}{t.hour:02d}"
                 f"{t.minute:02d}Z {float(wd):03.0f}{float(ws) / 1.852:02.0f}KT "
                 f"A{pressure / 33.8639 * 100:04.0f}")
-        rows.append((station.file_id, format_timestamp(t), fields))
+        rows.append((station.file_id, t.isoformat(), fields))
         t += timedelta(minutes=meta.interval_min)
     body = weather_payload_body(rows)
     return SourcePayload("weather", body,
@@ -235,7 +234,7 @@ def gen_traffic_response(profile: SynthProfile, route: TrafficRoute,
     """One travel-time measurement for one route at one instant."""
     dist = route_distance_m(profile, route)
     t_std = max(1, int(round(dist / (profile.free_flow_kmh / 3.6))))
-    ts_text = format_timestamp(at)
+    ts_text = at.isoformat()
     rng = _rng(profile.seed, "traffic", route.file_id, ts_text)
     minute = at.hour * 60 + at.minute
     if _in_peak(minute, profile.peak_windows):

@@ -218,12 +218,17 @@ def _begin(raw: RawReading, kind: str) -> tuple[datetime, ValidationReport]:
             f"unusable timestamp {raw.timestamp!r} for {raw.target}", report)
 
 
+# Longest zone, code or METAR text kept, far above a real METAR and far
+# below the 131,072 characters the csv module re-imports in one field.
+_TEXT_MAX = 4096
+
+
 def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, ValidationReport]:
     """Clean one weather candidate; bad fields become NA, never fatal.
 
-    An empty zone, code or METAR text is a bad field too. Only a missing
-    timestamp or location rejects the record. A value a rules file
-    admits past WeatherRecord's own limits raises OutOfRangeError.
+    An empty or over-long zone, code or METAR text is a bad field too.
+    Only a missing timestamp or location rejects the record. A value a
+    rules file admits past WeatherRecord's own limits raises OutOfRangeError.
     """
     ts, report = _begin(raw, "weather")
     values: dict[str, object] = {}
@@ -261,10 +266,11 @@ def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, Va
     # An empty code or text would be stored as '' and read back as NA.
     for attr in ("time_zone", "cond", "icon", "metar"):
         text = raw.fields.get(attr)
-        if text:
+        if text and len(text) <= _TEXT_MAX:
             values[attr] = text
         elif text is not None:
-            report.add(attr, text, "non-empty text")
+            report.add(attr, text, "non-empty text" if not text
+                       else f"text of at most {_TEXT_MAX} characters")
 
     if raw.station_kind == "pws" and not _AIRPORT_ONLY_SET.isdisjoint(values):
         # The parser already refuses airport-only keys on personal

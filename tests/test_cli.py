@@ -644,6 +644,35 @@ class TestExportOneStatement:
         assert dest.read_bytes() == b"kept,bytes\r\n"
 
 
+class TestYearsBeforeOneThousand:
+    """Timestamp text has a four-digit year, so a day before year 1000
+    is generated, parsed, stored and queried like any other."""
+
+    def test_run_stores_the_whole_day(self, tmp_path, capsys):
+        store = str(tmp_path / "y999.db")
+        assert main(["init", "--store", store]) == 0
+        assert main(["run", "--store", store, "--days", "1",
+                     "--start", "0999-06-01"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "day 0999-06-01: fired=2438 skipped=0 stored=6232 duplicates=0 "
+            "rejected=0 quarantined=0 failures=0")
+        # With no --from, the range starts at datetime.min.
+        assert main(["query", "pollutions", "--store", store, "--attrs", "pm10",
+                     "--loc", "sima_centro"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 22 and lines[1].startswith("0999-06-01 02:00:00\t")
+
+    def test_query_from_year_999(self, default_day, capsys):
+        def query(start):
+            assert main(["query", "traffics", "--store", str(default_day),
+                         "--attrs", "traveldist", "--loc", "1",
+                         "--from", start, "--to", "2016-05-17"]) == 0
+            return capsys.readouterr().out
+        want = query("1000-01-01")
+        assert len(want.splitlines()) > 1
+        assert query("0999-01-01") == want
+
+
 class TestStorePrecedence:
     def test_flag_beats_env(self, cfg_path, tmp_path, monkeypatch, capsys):
         env_db = tmp_path / "env.db"

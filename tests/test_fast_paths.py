@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import shlex
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from unittest import mock
 
 import pytest
@@ -41,9 +41,9 @@ from urbanobs.model import (
     PollutionRecord,
     TrafficRecord,
     WeatherRecord,
-    format_timestamp,
+    WeatherStation,
 )
-from urbanobs.storage import DB_TIMESTAMP_FMT, _ts_text
+from urbanobs.storage import DB_TIMESTAMP_FMT, Store
 from urbanobs.validation import (
     RuleSet,
     ValidationReport,
@@ -251,26 +251,41 @@ class TestKeyValueLineChecks:
 
 # -- timestamp text ----------------------------------------------------------------
 
-_ZONES = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-6))])
+# Every stamp a record accepts: naive, whole seconds, years 1 to 9999.
+_STAMPS = st.datetimes().map(lambda dt: dt.replace(microsecond=0))
 
 
 class TestTimestampText:
-    @settings(max_examples=1000, deadline=None)
-    @given(st.datetimes(), _ZONES, st.sampled_from(["T", " "]))
-    @example(datetime(999, 12, 31, 23, 59, 59), None, "T")
-    @example(datetime(1, 1, 1), None, " ")
-    @example(datetime(1000, 1, 1), None, " ")
-    @example(datetime(2016, 5, 16, 8, 5, 0, 1), None, "T")
-    @example(datetime(2016, 5, 16, 8, 5, 0), timezone.utc, " ")
-    def test_matches_strftime(self, dt, tz, sep):
-        dt = dt.replace(tzinfo=tz)
-        assert format_timestamp(dt, sep) == dt.strftime(f"%Y-%m-%d{sep}%H:%M:%S")
+    """The store writes a record's stamp with isoformat(" "); the
+    reference is strftime, which agrees from year 1000 on."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.datetimes(), _ZONES)
-    def test_store_text_matches_strftime(self, dt, tz):
-        dt = dt.replace(tzinfo=tz)
-        assert _ts_text(dt) == dt.strftime(DB_TIMESTAMP_FMT)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_STAMPS, min_size=1, max_size=8, unique=True), _STAMPS, _STAMPS)
+    @example([datetime(999, 12, 31, 23, 59, 59), datetime(1000, 1, 1),
+              datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)],
+             datetime(999, 6, 1), datetime(1000, 1, 1))
+    @example([datetime(99, 1, 1), datetime(100, 1, 1), datetime(2016, 5, 16, 8, 5)],
+             datetime(1, 1, 1), datetime(100, 1, 1))
+    def test_stored_text_orders_and_ranges_like_the_stamps(self, stamps, a, b):
+        start, end = min(a, b), max(a, b)
+        with Store(":memory:") as store:
+            store.init_schema()
+            loc = store.upsert_location(WeatherStation(
+                "pws_one", 25.67, -100.31, station_id="KTEST0001"))
+            for ts in stamps:
+                store.insert_record(WeatherRecord(timestamp=ts, station="pws_one"))
+            every = store.query_attribute(
+                "weathers", ["temp"], [loc], datetime.min, datetime.max)
+            inside = store.query_attribute(
+                "weathers", ["temp"], [loc], start, end)
+        # The rows come back in the order of their text.
+        texts = [row[0] for row in every.rows]
+        assert [datetime.fromisoformat(t) for t in texts] == sorted(stamps)
+        for ts, text in zip(sorted(stamps), texts):
+            if ts.year >= 1000:
+                assert text == ts.strftime(DB_TIMESTAMP_FMT)
+        assert [datetime.fromisoformat(row[0]) for row in inside.rows] == \
+            sorted(ts for ts in stamps if start <= ts <= end)
 
 
 # -- validators ------------------------------------------------------------------------
@@ -334,6 +349,8 @@ def _ref_validate_weather(raw, rules):
         text = raw.fields.get(attr)
         if text == "":
             report.add(attr, text, "non-empty text")
+        elif text is not None and len(text) > 4096:
+            report.add(attr, text, "text of at most 4096 characters")
         elif text is not None:
             values[attr] = text
     if raw.station_kind == "pws":
@@ -456,7 +473,8 @@ _FIELD_TEXT = st.one_of(
                      "99999999999999999999999", "N", "NNE", "ESE"]),
     st.integers(-1000, 100000).map(str),
     st.floats().map(repr),
-    st.text(max_size=5))
+    st.text(max_size=5),
+    st.sampled_from(["M" * 4096, "M" * 4097]))
 _ROUTE_KEYS = ("traveldist", "traveltime_std", "traveltime_curr")
 _READING_TS = st.sampled_from(["2016-05-16T08:00:00", "2016-05-16T08:05:00",
                                "2016-05-16T01:00:00", "2016-02-30T00:00:00"])

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -212,6 +212,21 @@ class TestRecords:
     def test_pollution_must_be_exact_hour(self):
         with pytest.raises(OutOfRangeError):
             PollutionRecord(timestamp=self.TS.replace(minute=30), station="sima_x")
+
+    @pytest.mark.parametrize("make", [
+        lambda ts: WeatherRecord(timestamp=ts, station="pws_x"),
+        lambda ts: TrafficRecord(timestamp=ts, route="a-b", traveldist=1,
+                                 traveltime_std=1, traveltime_curr=1),
+        lambda ts: PollutionRecord(timestamp=ts, station="sima_x"),
+    ], ids=["weather", "traffic", "pollution"])
+    @pytest.mark.parametrize("ts", [
+        TS.replace(microsecond=200_000), TS.replace(tzinfo=timezone.utc),
+    ], ids=["sub-second", "zoned"])
+    def test_timestamp_is_naive_in_whole_seconds(self, make, ts):
+        # Stored text keeps neither: 12:00:00.2 and 12:00:00.7 would
+        # share one row, and an offset would sort among local times.
+        with pytest.raises(OutOfRangeError, match="not naive local time in whole seconds"):
+            make(ts)
 
     def test_pollution_all_na_is_fine(self):
         rec = PollutionRecord(timestamp=self.TS.replace(minute=0), station="sima_x")

@@ -566,13 +566,19 @@ class TestRepeatedLocalTime:
 
 
 class TestEmptyTextField:
-    """An empty zone, code or METAR costs that field, not the record."""
+    """An empty or over-long zone, code or METAR costs that field, not
+    the record."""
 
-    LINE = "apt_escobedo 2016-05-15T08:00:00 temp=20.5 hum=50 {}=''"
+    LINE = "apt_escobedo 2016-05-15T08:00:00 temp=20.5 hum=50 {}={}"
+    # Past the csv module's 131,072-character field limit.
+    LONG = "M" * 140_000
 
-    @pytest.mark.parametrize("field", ["time_zone", "cond", "icon", "metar"])
-    def test_field_is_na_and_csv_round_trips(self, default_cfg, ready_store, field):
-        line = self.LINE.format(field)
+    @pytest.mark.parametrize("field, text", [
+        ("time_zone", ""), ("cond", ""), ("icon", ""), ("metar", ""), ("metar", LONG),
+    ], ids=["time_zone", "cond", "icon", "metar", "metar-140000-chars"])
+    def test_field_is_na_and_csv_round_trips(self, default_cfg, ready_store, field,
+                                             text):
+        line = self.LINE.format(field, shlex.quote(text))
         summary, _ = _backfill(default_cfg, ready_store, line + "\n",
                                day=date(2016, 5, 16))
         assert (summary.stored, summary.rejected, summary.failures) == (1, 0, [])
@@ -581,8 +587,9 @@ class TestEmptyTextField:
         (raw,), _ = connectors.parse_weather_observations(
             SourcePayload("weather", line, "x"), stations)
         _, report = validate_weather(raw, default_cfg.rules)
+        rule = "text of at most 4096 characters" if text else "non-empty text"
         assert [(e.attribute, e.value, e.rule) for e in report.entries] == [
-            (field, "", "non-empty text")]
+            (field, text, rule)]
 
         loc = ready_store.location_ids("locations_w")["apt_escobedo"]
         at = datetime(2016, 5, 15, 8, 0)

@@ -4,7 +4,7 @@ import csv
 import dataclasses
 import io
 import sqlite3
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -438,6 +438,16 @@ class TestQueries:
             loaded.query_attribute("noise", ["db"], [1],
                                    datetime(2016, 1, 1), datetime(2017, 1, 1))
 
+    @pytest.mark.parametrize("start_tz, end_tz", [
+        (timezone.utc, timezone.utc), (None, timezone(timedelta(hours=-6))),
+        (timezone.utc, None)], ids=["both", "end", "start"])
+    def test_bound_with_a_time_zone_refused(self, loaded, start_tz, end_tz):
+        # Stored text is naive local time: an offset has no row to match.
+        start = datetime(2016, 5, 16, 8, tzinfo=start_tz)
+        end = datetime(2016, 5, 16, 10, tzinfo=end_tz)
+        with pytest.raises(QueryError, match="carries a time zone"):
+            loaded.query_attribute("weathers", ["temp"], [1], start, end)
+
     def test_fetch_record_missing_is_none(self, loaded):
         assert loaded.fetch_record("weathers", 1, datetime(1999, 1, 1)) is None
 
@@ -642,7 +652,12 @@ class TestCsv:
         # Python 3.11's csv writer quotes only the line terminator's
         # characters, so export_csv writes a cell's "\r" like this.
         ("2016-05-16 08:00:00,1,1.5,0,a\rb\n", "new-line character seen in unquoted field"),
-    ], ids=["float cell", "location", "long field", "bare carriage return"])
+        # A row no store can hold: its natural key is missing.
+        (",,1.5,0,M\n", "timestamp cell is empty"),
+        ('"",1,1.5,0,M\n', "timestamp cell is empty"),
+        ("2016-05-16 08:00:00,,1.5,0,M\n", "location cell is empty"),
+    ], ids=["float cell", "location", "long field", "bare carriage return",
+            "empty key", "empty quoted timestamp", "empty location"])
     def test_import_names_the_line_of_a_bad_cell(self, body, reason):
         text = "timestamp,location,temp,fog,metar\n2016-05-16 07:00:00,1,,,\n" + body
         with pytest.raises(QueryError, match=r"^CSV line 3: ") as err:
@@ -651,7 +666,7 @@ class TestCsv:
 
 
 def _reference_import_csv(text: str, table: str) -> QueryResult:
-    """import_csv as it was: a StringIO copy of the text, one conversion per cell."""
+    """import_csv written plainly: a StringIO copy of the text, one conversion per cell."""
     table = resolve_table(table)
     reader = csv.reader(io.StringIO(text))
     try:
@@ -664,12 +679,18 @@ def _reference_import_csv(text: str, table: str) -> QueryResult:
         if col not in cell_type:
             raise QueryError(f"CSV column {col!r} is not a {table} attribute")
     types = [cell_type[col] for col in header]
+
+    def value(col, f, v):
+        if v == "" and col in ("timestamp", "location"):
+            raise ValueError(f"{col} cell is empty")
+        return None if v == "" else f(v)
+
     rows = []
     for row in reader:
         if len(row) != len(header):
             raise QueryError(
                 f"CSV row has {len(row)} cells, header has {len(header)}")
-        rows.append(tuple(None if v == "" else f(v) for f, v in zip(types, row)))
+        rows.append(tuple(map(value, header, types, row)))
     return QueryResult(kind=table, columns=header, rows=tuple(rows))
 
 
