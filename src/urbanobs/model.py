@@ -249,6 +249,10 @@ AIRPORT_ONLY_ATTRIBUTES = (
     "vis", "precip", "fog", "rain", "snow", "hail", "thunder", "tornado", "metar",
 )
 
+# Texts a CSV export writes as stored. An empty one would re-import as
+# NA. Python 3.11's csv writer leaves a "\r" unquoted, which then does
+# not re-import, and 3.10's cannot write a NUL.
+_TEXT_ATTRIBUTES = ("tz", "cond", "icon", "metar")
 _NONNEGATIVE_ATTRIBUTES = ("wspd", "wgust", "preciprate", "preciptotal",
                            "solarradiation", "uv", "vis", "precip")
 
@@ -260,6 +264,7 @@ class WeatherRecord:
     Attribute value None means not-available: either the source never
     reported the field or validation nulled it. Timestamps are naive
     local time in whole seconds; tz names the zone through the code table.
+    A zone, code or METAR text is not empty and holds no line break or NUL.
     """
 
     timestamp: datetime
@@ -310,6 +315,10 @@ class WeatherRecord:
                 raise OutOfRangeError(f"{name} must be 0 or 1")
         if self.wdire is not None and self.wdire not in COMPASS_CODES:
             raise OutOfRangeError(f"wdire {self.wdire!r} is not a compass code")
+        for name in _TEXT_ATTRIBUTES:
+            v = values[name]
+            if isinstance(v, str) and (not v or "\n" in v or "\r" in v or "\0" in v):
+                raise OutOfRangeError(f"{name} text is empty or holds a line break or NUL")
 
 
 @dataclass(frozen=True)

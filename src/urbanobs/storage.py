@@ -28,13 +28,13 @@ from __future__ import annotations
 import csv
 import io
 import sqlite3
-import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from operator import attrgetter, getitem
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     MigrationRequired,
@@ -635,27 +635,19 @@ class Store:
     # -- integrity ----------------------------------------------------------
 
     def referential_violations(self) -> list[str]:
-        """Full-scan check of every record-to-catalog pointer."""
+        """Every record-to-catalog pointer that names no row, as SQLite's
+        foreign key check finds them: one scan per record table."""
         problems = []
         for table in RECORD_TABLES:
-            cols = _COLUMNS[table]
+            column_of = {fk[0]: fk[3] for fk in  # id -> from column
+                         self._execute(f"PRAGMA foreign_key_list({table})")}
+            n = Counter(column_of[row[3]] for row in  # row[3] is the fk id
+                        self._execute(f"PRAGMA foreign_key_check({table})"))
             # The location pointer first, then the codes in column order.
-            for col, _, target in (cols[-1], *cols[:-1]):
-                if target is None:
-                    continue
-                pk = TABLE_COLUMNS[target][0]
-                n = self._execute(
-                    f"SELECT COUNT(*) FROM {table} t LEFT JOIN {target} x "
-                    f"ON t.{col} = x.{pk} WHERE t.{col} IS NOT NULL "
-                    f"AND x.{pk} IS NULL")[0][0]
-                if n:
-                    problems.append(f"{table}.{col}: {n} rows point nowhere")
+            cols = TABLE_COLUMNS[table]
+            problems += [f"{table}.{col}: {n[col]} rows point nowhere"
+                         for col in (cols[-1], *cols[:-1]) if n[col]]
         return problems
-
-
-# The encoding open() picks when given none: UTF-8 in UTF-8 mode, else
-# the locale's. "locale" alone would differ in UTF-8 mode.
-_CSV_ENCODING = "utf-8" if sys.flags.utf8_mode else "locale"
 
 
 def export_csv(result, dest=None) -> str | None:
@@ -663,13 +655,13 @@ def export_csv(result, dest=None) -> str | None:
 
     The csv module writes None as an empty cell and numbers as str()
     would, so rows go out unconverted. Without ``dest`` the CSV text is
-    returned. With ``dest`` the file is opened once, as ``Path.write_text``
-    opens it, and a streamed result's rows are written as they are read,
-    so no text is built and None is returned; a read failing midway
-    leaves the rows written so far.
+    returned. With ``dest`` the file is opened once and holds that text's
+    UTF-8 bytes, whatever the locale or platform; a streamed result's rows
+    are written as they are read, so no text is built and None is
+    returned; a read failing midway leaves the rows written so far.
     """
     with (io.StringIO() if dest is None
-          else open(dest, "w", encoding=_CSV_ENCODING)) as out:
+          else open(dest, "w", encoding="utf-8", newline="")) as out:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(result.columns)
         w.writerows(result.rows)
@@ -698,7 +690,7 @@ class _Cells(dict):
     runs no Python code.
     """
 
-    def __init__(self, column: str, convert: type) -> None:
+    def __init__(self, column: str, convert: Callable[[str], object]) -> None:
         super().__init__({} if column in ("timestamp", "location") else {"": None})
         self.column, self.convert = column, convert
 
@@ -709,27 +701,43 @@ class _Cells(dict):
         return value
 
 
+def _stored_timestamp(text: str) -> str:
+    """The cell itself, if it is timestamp text a store writes: a naive
+    datetime's isoformat(" ") in whole seconds."""
+    try:
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        ts = None
+    if ts is None or ts.tzinfo is not None or ts.microsecond or ts.isoformat(" ") != text:
+        raise ValueError(f"timestamp {text!r} is not YYYY-MM-DD HH:MM:SS text")
+    return text
+
+
 def import_csv(text: str, table: str) -> QueryResult:
     """Parse CSV produced by export_csv back into a typed result.
 
-    Malformed input raises QueryError: a cell that is not of its
-    column's type, an empty timestamp or location cell, or a cell that
-    the csv module cannot read names its CSV line.
+    Malformed input raises QueryError: a header that does not begin
+    timestamp,location, a timestamp that is not text a store writes, a
+    cell that is not of its column's type, an empty timestamp or
+    location cell, or a cell that the csv module cannot read names its
+    CSV line.
     """
     table = resolve_table(table)
+    attrs = _ATTRS[table]
     reader = csv.reader(_lines(text))
-    cell_type = {"timestamp": str, "location": int,
-                 **{attr: spec[2] for attr, spec in _ATTRS[table].items()}}
     try:
         header = next(reader, None)
         if header is None:
             raise QueryError("CSV is empty, expected a header row")
         header = tuple(header)
-        for col in header:
-            if col not in cell_type:
+        if header[:2] != ("timestamp", "location"):
+            raise ValueError("header does not begin timestamp,location")
+        for col in header[2:]:
+            if col not in attrs:
                 raise QueryError(
                     f"CSV column {col!r} is not a {table} attribute")
-        cells = [_Cells(col, cell_type[col]) for col in header]
+        cells = [_Cells("timestamp", _stored_timestamp), _Cells("location", int),
+                 *(_Cells(col, attrs[col][2]) for col in header[2:])]
         rows = []
         for row in reader:
             if len(row) != len(header):

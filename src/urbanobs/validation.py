@@ -226,7 +226,8 @@ _TEXT_MAX = 4096
 def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, ValidationReport]:
     """Clean one weather candidate; bad fields become NA, never fatal.
 
-    An empty or over-long zone, code or METAR text is a bad field too.
+    An empty or over-long zone, code or METAR text, or one holding a
+    line break or NUL, is a bad field too.
     Only a missing timestamp or location rejects the record. A value a
     rules file admits past WeatherRecord's own limits raises OutOfRangeError.
     """
@@ -266,11 +267,16 @@ def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, Va
     # An empty code or text would be stored as '' and read back as NA.
     for attr in ("time_zone", "cond", "icon", "metar"):
         text = raw.fields.get(attr)
-        if text and len(text) <= _TEXT_MAX:
+        if text is None:
+            continue
+        if not text:
+            report.add(attr, text, "non-empty text")
+        elif len(text) > _TEXT_MAX:
+            report.add(attr, text, f"text of at most {_TEXT_MAX} characters")
+        elif "\n" in text or "\r" in text or "\0" in text:
+            report.add(attr, text, "text without a line break or NUL")
+        else:
             values[attr] = text
-        elif text is not None:
-            report.add(attr, text, "non-empty text" if not text
-                       else f"text of at most {_TEXT_MAX} characters")
 
     if raw.station_kind == "pws" and not _AIRPORT_ONLY_SET.isdisjoint(values):
         # The parser already refuses airport-only keys on personal

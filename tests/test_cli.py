@@ -19,6 +19,7 @@ from urbanobs.cli import bootstrap_store, main
 from urbanobs.config import STORE_ENV_VAR
 from urbanobs.connectors import FixtureDirectorySource
 from urbanobs.errors import RunAborted, StorageUnavailable
+from urbanobs.model import WeatherRecord
 from urbanobs.storage import (
     QueryResult,
     Store,
@@ -474,6 +475,36 @@ class TestExport:
         cli("export", "pollutions", "--from", "2016-05-16 02:00:00",
             "--to", "2016-05-16 03:00:00", "--csv", str(dest))
         assert len(dest.read_text().strip().splitlines()) == 1 + 2
+
+
+class TestCsvUnderAsciiLocale:
+    """`export` and `query --csv` write UTF-8 under an ASCII locale."""
+
+    @pytest.mark.parametrize("command", [
+        ["export", "weathers"], ["query", "weathers", "--attrs", "temp,metar",
+                                 "--loc", "apt_one"],
+    ], ids=["export", "query"])
+    def test_non_ascii_metar(self, cli, cfg_path, initialized, tmp_path, command):
+        with Store(initialized) as s:
+            s.insert_record(WeatherRecord(timestamp=datetime(2016, 5, 16, 8),
+                                          station="apt_one", temp=21.5,
+                                          metar="METAR MMMY caf\xe9"))
+        want = tmp_path / "want.csv"
+        cli(*command, "--csv", str(want))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONWARNDEFAULTENCODING", "PYTHONIOENCODING")}
+        env.update(PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        got = tmp_path / "got.csv"
+        child = subprocess.run(
+            [sys.executable, "-m", "urbanobs.cli", command[0], "--config",
+             str(cfg_path), "--store", str(initialized), *command[1:], "--csv", str(got)],
+            capture_output=True, env=env, timeout=60)
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout == f"wrote 1 rows to {got}\n".encode()
+        assert got.read_bytes() == want.read_bytes()
+        assert "METAR MMMY caf\xe9".encode("utf-8") in got.read_bytes()
 
 
 class TestUnwritableCsv:
@@ -1066,24 +1097,25 @@ class TestExportFormatting:
         old.write_text(_old_export_csv(result))  # how the old export wrote it
         assert dest.read_bytes() == old.read_bytes()
 
-    def test_file_encoding_is_the_open_default_in_utf8_mode(self, tmp_path):
-        """In UTF-8 mode under the C locale, a bare open() writes UTF-8
-        while the locale encoding is ASCII; the export follows open()."""
+    @pytest.mark.parametrize("mode", [
+        {"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    ], ids=["utf8-mode", "ascii-locale"])
+    def test_file_is_utf8_whatever_the_locale(self, tmp_path, mode):
+        """Under the C locale, whose encoding is ASCII outside UTF-8 mode,
+        the file still holds the UTF-8 bytes of the export's text."""
         src = Path(__file__).resolve().parent.parent / "src"
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        got = tmp_path / "got.csv"
         code = (
             "import sys\n"
             "from urbanobs.storage import QueryResult, export_csv\n"
             "r = QueryResult('weathers', ('timestamp', 'cond'), (('t', 'caf\\xe9'),))\n"
-            "export_csv(r, dest=sys.argv[1])\n"
-            "with open(sys.argv[2], 'w') as f:\n"
-            "    f.write(export_csv(r))\n")
+            "export_csv(r, dest=sys.argv[1])\n")
         env = {k: v for k, v in os.environ.items()
                if k not in ("PYTHONWARNDEFAULTENCODING", "PYTHONIOENCODING")}
-        env.update(PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="1")
-        subprocess.run([sys.executable, "-c", code, str(got), str(want)],
-                       env=env, check=True)
-        assert got.read_bytes() == want.read_bytes() == "timestamp,cond\nt,café\n".encode()
+        env.update(PYTHONPATH=str(src), LC_ALL="C", **mode)
+        subprocess.run([sys.executable, "-c", code, str(got)], env=env, check=True)
+        r = QueryResult("weathers", ("timestamp", "cond"), (("t", "caf\xe9"),))
+        assert got.read_bytes() == export_csv(r).encode("utf-8") == b"timestamp,cond\nt,caf\xc3\xa9\n"
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_CELL, _CELL, _CELL), max_size=5))

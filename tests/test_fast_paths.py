@@ -351,6 +351,8 @@ def _ref_validate_weather(raw, rules):
             report.add(attr, text, "non-empty text")
         elif text is not None and len(text) > 4096:
             report.add(attr, text, "text of at most 4096 characters")
+        elif text is not None and any(c in text for c in "\r\n\x00"):
+            report.add(attr, text, "text without a line break or NUL")
         elif text is not None:
             values[attr] = text
     if raw.station_kind == "pws":
@@ -474,7 +476,7 @@ _FIELD_TEXT = st.one_of(
     st.integers(-1000, 100000).map(str),
     st.floats().map(repr),
     st.text(max_size=5),
-    st.sampled_from(["M" * 4096, "M" * 4097]))
+    st.sampled_from(["M" * 4096, "M" * 4097, "a\rb", "\n", "M\r\n", "a\x00"]))
 _ROUTE_KEYS = ("traveldist", "traveltime_std", "traveltime_curr")
 _READING_TS = st.sampled_from(["2016-05-16T08:00:00", "2016-05-16T08:05:00",
                                "2016-05-16T01:00:00", "2016-02-30T00:00:00"])

@@ -194,6 +194,20 @@ class TestRecords:
         with pytest.raises(OutOfRangeError):
             WeatherRecord(timestamp=self.TS, station="pws_x", wdire="XX")
 
+    @pytest.mark.parametrize("name", ["tz", "cond", "icon", "metar"])
+    @pytest.mark.parametrize("text", ["a\rb", "a\nb", "\r\n", "a\x00b", ""],
+                             ids=["cr", "lf", "crlf", "nul", "empty"])
+    def test_weather_text_exports_as_stored(self, name, text):
+        # None of these re-imports from a CSV export on every Python.
+        with pytest.raises(OutOfRangeError,
+                           match=f"^{name} text is empty or holds a line break or NUL$"):
+            WeatherRecord(timestamp=self.TS, station="pws_x", **{name: text})
+
+    def test_weather_text_keeps_other_characters(self):
+        rec = WeatherRecord(timestamp=self.TS, station="pws_x",
+                            metar='METAR "caf\xe9", \t\x0b\u2028')
+        assert rec.metar == 'METAR "caf\xe9", \t\x0b\u2028'
+
     def test_wdird_360_stored_verbatim(self):
         rec = WeatherRecord(timestamp=self.TS, station="pws_x", wdird=360.0)
         assert rec.wdird == 360.0

@@ -12,13 +12,17 @@ from hypothesis import example, given, settings, strategies as st
 from urbanobs.cli import bootstrap_store, main
 from urbanobs.errors import (
     MigrationRequired,
+    OutOfRangeError,
     QueryError,
     ReferentialError,
     StorageError,
     StorageUnavailable,
 )
 from urbanobs.model import (
+    COMPASS_CODES,
     CONTAMINANTS,
+    WEATHER_FLAG_ATTRIBUTES,
+    WEATHER_NUMERIC_ATTRIBUTES,
     Lookup,
     PollutionRecord,
     PollutionStation,
@@ -579,6 +583,25 @@ class TestIntegrity:
         problems = tiny_store.referential_violations()
         assert problems and "weathers.id_locations_w" in problems[0]
 
+    def test_each_dangling_column_counted_location_first(self, tiny_store):
+        tiny_store.insert_record(w_rec(tz="CST", cond="Clear"))
+        tiny_store._conn.execute("PRAGMA foreign_keys = OFF")
+        for ts, loc, tz, cond in [("09", 999, 1, 1), ("10", 1, 99, 98),
+                                  ("11", 1, None, 98), ("12", 999, 99, 98)]:
+            tiny_store._conn.execute(
+                "INSERT INTO weathers (timestamp_w, id_locations_w, id_time_zone,"
+                " id_cond) VALUES (?, ?, ?, ?)", (f"2016-05-16 {ts}:00:00", loc, tz, cond))
+        tiny_store._conn.execute(
+            "INSERT INTO traffics (timestamp_t, traveldist, traveltime_std,"
+            " traveltime_curr, id_locations_t) VALUES ('2016-05-16 08:00:00', 1, 1, 1, 7)")
+        tiny_store._conn.commit()
+        assert tiny_store.referential_violations() == [
+            "weathers.id_locations_w: 2 rows point nowhere",
+            "weathers.id_time_zone: 2 rows point nowhere",
+            "weathers.id_cond: 3 rows point nowhere",
+            "traffics.id_locations_t: 1 rows point nowhere",
+        ]
+
 
 class TestCsv:
     @pytest.fixture()
@@ -624,6 +647,21 @@ class TestCsv:
         with pytest.raises(QueryError, match="not a traffics attribute"):
             import_csv("timestamp,location,temp\n", "traffics")
 
+    @pytest.mark.parametrize("text", [
+        "temp\n20.5\n", "location,timestamp,temp\n1,2016-05-16 08:00:00,20.5\n",
+        "timestamp,temp\n2016-05-16 08:00:00,20.5\n", "\n", "Timestamp,location\n",
+    ], ids=["no key", "key swapped", "no location", "blank", "case"])
+    def test_import_requires_the_key_columns_first(self, text):
+        # Every export begins timestamp,location; without them no row
+        # could be stored again.
+        with pytest.raises(QueryError, match=r"^CSV line 1: header does not begin "
+                                             r"timestamp,location$"):
+            import_csv(text, "weathers")
+
+    def test_import_refuses_key_columns_twice(self):
+        with pytest.raises(QueryError, match="'location' is not a weathers attribute"):
+            import_csv("timestamp,location,location\n", "weathers")
+
     def test_import_rejects_ragged_rows(self):
         text = "timestamp,location,traveldist\n2016-05-16 08:00:00,1\n"
         with pytest.raises(QueryError, match="cells"):
@@ -656,13 +694,32 @@ class TestCsv:
         (",,1.5,0,M\n", "timestamp cell is empty"),
         ('"",1,1.5,0,M\n', "timestamp cell is empty"),
         ("2016-05-16 08:00:00,,1.5,0,M\n", "location cell is empty"),
+        # Timestamp text that no store writes.
+        *((f"{ts},1,1.5,0,M\n", f"timestamp {ts!r} is not YYYY-MM-DD HH:MM:SS text")
+          for ts in ("2016-13-45 99:00:00", "2016-05-16T08:00:00", "2016-5-16 08:00:00",
+                     "2016-05-16 08:00:00.500000", "2016-05-16 08:00:00+00:00",
+                     "999-06-01 02:00:00", "2016-05-16", " 2016-05-16 08:00:00")),
     ], ids=["float cell", "location", "long field", "bare carriage return",
-            "empty key", "empty quoted timestamp", "empty location"])
+            "empty key", "empty quoted timestamp", "empty location",
+            "month 13", "T separator", "unpadded", "fraction", "zoned",
+            "three-digit year", "date only", "leading space"])
     def test_import_names_the_line_of_a_bad_cell(self, body, reason):
         text = "timestamp,location,temp,fog,metar\n2016-05-16 07:00:00,1,,,\n" + body
         with pytest.raises(QueryError, match=r"^CSV line 3: ") as err:
             import_csv(text, "weathers")
         assert reason in str(err.value)
+
+
+def _stored_timestamp_text(v: str) -> str:
+    """A timestamp cell the store could have written: strptime's four-digit
+    year, no fraction or zone, and its own isoformat text."""
+    try:
+        ok = datetime.strptime(v, "%Y-%m-%d %H:%M:%S").isoformat(" ") == v
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"timestamp {v!r} is not YYYY-MM-DD HH:MM:SS text")
+    return v
 
 
 def _reference_import_csv(text: str, table: str) -> QueryResult:
@@ -673,12 +730,13 @@ def _reference_import_csv(text: str, table: str) -> QueryResult:
         header = tuple(next(reader))
     except StopIteration:
         raise QueryError("CSV is empty, expected a header row")
-    cell_type = {"timestamp": str, "location": int,
-                 **{attr: spec[2] for attr, spec in _ATTRS[table].items()}}
-    for col in header:
+    if header[:2] != ("timestamp", "location"):
+        raise ValueError("header does not begin timestamp,location")
+    cell_type = {attr: spec[2] for attr, spec in _ATTRS[table].items()}
+    for col in header[2:]:
         if col not in cell_type:
             raise QueryError(f"CSV column {col!r} is not a {table} attribute")
-    types = [cell_type[col] for col in header]
+    types = [_stored_timestamp_text, int, *(cell_type[col] for col in header[2:])]
 
     def value(col, f, v):
         if v == "" and col in ("timestamp", "location"):
@@ -714,14 +772,19 @@ _HEADER = "timestamp,location,temp,fog,metar"
 _TEXT = st.one_of(*(st.text(alphabet=st.sampled_from(chars + _SPLITLINES_ONLY), max_size=6)
                     for chars in ("a1", 'a1,"\n\r')))
 _INT = st.sampled_from(["", "1", " 7", "-3", "x"])
-_CELLS = {"timestamp": _TEXT, "location": _INT, "fog": _INT, "metar": _TEXT,
+_TIMESTAMP = st.one_of(_TEXT, st.sampled_from([
+    "2016-05-16 08:00:00", "0999-06-01 02:00:00",
+    "2016-02-30 08:00:00", "2016-05-16T08:00:00", "2016-05-16 08:00:00.500000",
+    "2016-05-16 08:00:00+00:00", "2016-05-16"]))
+_CELLS = {"timestamp": _TIMESTAMP, "location": _INT, "fog": _INT, "metar": _TEXT,
           "temp": st.sampled_from(["", "1.5", "-0.0", "nan", "1e5", "abc"])}
 
 
 @st.composite
 def _csv_texts(draw):
     header = draw(st.sampled_from([_HEADER, _HEADER, "timestamp,location,metar",
-                                   "timestamp,bogus"])).split(",")
+                                   "timestamp,bogus", "location,timestamp,temp",
+                                   "timestamp,location,location"])).split(",")
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 5))):
         row = [draw(_CELLS.get(col, _TEXT)) for col in header]
@@ -754,6 +817,53 @@ class TestImportMatchesReference:
         else:
             assert got == want
 
+
+
+_BOUNDED = {"hum": st.floats(0, 100), "wdird": st.floats(0, 360),
+            **dict.fromkeys(("wspd", "wgust", "preciprate", "preciptotal",
+                             "solarradiation", "uv", "vis", "precip"),
+                            st.floats(min_value=0))}
+# Texts with the characters csv treats specially, the ones WeatherRecord
+# refuses ("\r", "\n", NUL) and any others.
+_RECORD_TEXT = st.none() | st.text(st.sampled_from(
+    'a ,"\'\r\n\x00\t\x0b\x85\u2028\ufeff\xe9'), max_size=5) | st.text(max_size=5)
+
+
+@st.composite
+def _weather_records(draw):
+    """A WeatherRecord, or None where the type refuses the drawn values."""
+    fields = {a: draw(st.none() | _BOUNDED.get(a, st.floats()))
+              for a in WEATHER_NUMERIC_ATTRIBUTES}
+    fields.update({a: draw(st.sampled_from([None, 0, 1])) for a in WEATHER_FLAG_ATTRIBUTES})
+    fields.update({a: draw(_RECORD_TEXT) for a in ("tz", "cond", "icon", "metar")})
+    fields["wdire"] = draw(st.sampled_from([None, *COMPASS_CODES]))
+    ts = draw(st.datetimes(datetime.min, datetime.max))
+    try:
+        return WeatherRecord(timestamp=ts.replace(microsecond=0),
+                             station=draw(st.sampled_from(["pws_one", "apt_one"])),
+                             **fields)
+    except OutOfRangeError:
+        return None
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(_weather_records(), max_size=6))
+    def test_every_stored_record_re_imports(self, tiny_cfg, records):
+        """For records that insert_record accepts, an export of their
+        query re-imports as that query, on every supported Python."""
+        with Store() as s:
+            bootstrap_store(s, tiny_cfg)
+            for rec in filter(None, records):
+                for attr, codes in (("tz", "time_zones"), ("cond", "conds"),
+                                    ("icon", "icons")):
+                    if getattr(rec, attr) is not None:
+                        s.seed_lookup(codes, [Lookup(getattr(rec, attr))])
+                s.insert_record(rec)
+            q = s.query_attribute("weathers", queryable_attributes("weathers"),
+                                  list(s.location_ids("locations_w").values()),
+                                  datetime.min, datetime.max)
+        assert import_csv(export_csv(q), "weathers") == q
 
 # The record tables as stores created before the natural key led with
 # the location declare them: UNIQUE (timestamp, location).

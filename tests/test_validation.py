@@ -175,6 +175,20 @@ class TestValidateWeather:
         assert report.clean
         assert record.cond == "Partly Cloudy" and record.icon == "partlycloudy"
 
+    @pytest.mark.parametrize("attr", ["time_zone", "cond", "icon", "metar"])
+    @pytest.mark.parametrize("text", ["a\rb", "a\nb", "\n", "a\x00b"],
+                             ids=["cr", "lf", "lf only", "nul"])
+    def test_line_break_or_nul_in_text_becomes_na(self, attr, text):
+        # Ingest splits payloads at every line break, so only a
+        # hand-built reading holds one.
+        raw = weather_reading({attr: text, "temp": "20.5"}, target="apt_escobedo",
+                              station_kind="airport")
+        record, report = validate_weather(raw, RULES)
+        assert record.temp == 20.5
+        assert getattr(record, "tz" if attr == "time_zone" else attr) is None
+        assert [(e.attribute, e.value, e.rule) for e in report.entries] == [
+            (attr, text, "text without a line break or NUL")]
+
     def test_airport_only_guard_for_hand_built_reading(self):
         # the parser blocks these lines; validation still guards direct input
         raw = weather_reading({"vis": "10", "temp": "20"})
