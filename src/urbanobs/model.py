@@ -36,6 +36,7 @@ __all__ = [
     "WEATHER_ATTRIBUTES",
     "WEATHER_FLAG_ATTRIBUTES",
     "WEATHER_NUMERIC_ATTRIBUTES",
+    "WEATHER_TEXT_MAX",
     "TRAFFIC_ATTRIBUTES",
     "AIRPORT_ONLY_ATTRIBUTES",
 ]
@@ -253,6 +254,9 @@ AIRPORT_ONLY_ATTRIBUTES = (
 # NA. Python 3.11's csv writer leaves a "\r" unquoted, which then does
 # not re-import, and 3.10's cannot write a NUL.
 _TEXT_ATTRIBUTES = ("tz", "cond", "icon", "metar")
+# Longest zone, code or METAR text kept, far above a real METAR and far
+# below the 131,072 characters the csv module re-imports in one field.
+WEATHER_TEXT_MAX = 4096
 _NONNEGATIVE_ATTRIBUTES = ("wspd", "wgust", "preciprate", "preciptotal",
                            "solarradiation", "uv", "vis", "precip")
 
@@ -264,7 +268,8 @@ class WeatherRecord:
     Attribute value None means not-available: either the source never
     reported the field or validation nulled it. Timestamps are naive
     local time in whole seconds; tz names the zone through the code table.
-    A zone, code or METAR text is not empty and holds no line break or NUL.
+    A zone, code or METAR text is not empty, holds no line break or NUL
+    and is at most WEATHER_TEXT_MAX characters long.
     """
 
     timestamp: datetime
@@ -317,8 +322,13 @@ class WeatherRecord:
             raise OutOfRangeError(f"wdire {self.wdire!r} is not a compass code")
         for name in _TEXT_ATTRIBUTES:
             v = values[name]
-            if isinstance(v, str) and (not v or "\n" in v or "\r" in v or "\0" in v):
+            if not isinstance(v, str):
+                continue
+            if not v or "\n" in v or "\r" in v or "\0" in v:
                 raise OutOfRangeError(f"{name} text is empty or holds a line break or NUL")
+            if len(v) > WEATHER_TEXT_MAX:
+                raise OutOfRangeError(
+                    f"{name} text is longer than {WEATHER_TEXT_MAX} characters")
 
 
 @dataclass(frozen=True)

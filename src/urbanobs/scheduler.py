@@ -12,14 +12,23 @@ fire time so a full day runs in milliseconds; the wall clock sleeps.
 Entries already in the past when the run starts are skipped, except
 the two daily jobs, which are replayed once because their payloads are
 historical anyway.
+
+Each entry maps to its fetches, a source method and its arguments, in
+one place that `run_day` uses both to fire the entry and to list the
+day's fetches ahead. A source with a `read_ahead(requests)` method
+(`SynthSource`) is given that list before the first entry fires and
+may render the payloads early; `run_day` leaves it when the day
+returns or raises.
 """
 
 from __future__ import annotations
 
 import time as _time
 from bisect import bisect_left
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
+from itertools import compress
 from typing import Protocol, Sequence
 
 from .connectors import (
@@ -286,41 +295,69 @@ def run_day(plan: CadencePlan, source, store, config,
                 summary.rejected += 1
                 failures.append(f"{raw.timestamp} {raw.target}: {exc}")
 
-    def backfill(meta) -> None:
-        payload = source.fetch_weather(meta, plan.day - timedelta(days=1))
+    def weather(payload, meta) -> None:
         readings, quarantined = parse_weather_observations(payload, stations)
         quarantine.extend(quarantined)
         summary.quarantined += len(quarantined)
         ingest(validate_weather, readings)
 
-    def scrape(station, at) -> None:
-        payload = source.fetch_pollution(station, plan.day, min(23, at.hour))
+    def traffic(payload, route) -> None:
+        ingest(validate_traffic, [parse_traffic_response(payload, route)])
+
+    def pollution(payload, station) -> None:
         readings = parse_pollution_tables(payload)
         ingest(validate_pollution, assemble_station_day(readings, station, plan.day))
 
-    def fire(entry) -> None:
+    handlers = {"fetch_weather": weather, "fetch_traffic": traffic,
+                "fetch_pollution": pollution}
+
+    def fetches(entry) -> tuple[tuple[str, tuple, str | None, str | None], ...]:
+        """The entry's fetches in order: (source method, its args, failure name, target).
+
+        One broken station feed must not cost the other stations, so a
+        sweep's fetches each name their station as the failure target.
+        A poll names none: its failure is the entry's.
+        """
         if entry.kind == TRAFFIC_POLL:
             route = routes.get(entry.target)
             if route is None:
                 raise ConfigError(f"plan names unknown route {entry.target!r}")
-            payload = source.fetch_traffic(route, entry.at)
-            ingest(validate_traffic, [parse_traffic_response(payload, route)])
-        elif entry.kind == WEATHER_BACKFILL:
-            # One broken station feed must not cost the other 31.
-            for meta in config.weather_stations:
-                _attempt(failures, "weather", meta.station.file_id, backfill, meta)
-        elif entry.kind == POLLUTION_SCRAPE:
-            for station in config.pollution_stations:
-                _attempt(failures, "pollution", station.file_id, scrape, station, entry.at)
-        else:
-            raise ConfigError(f"unknown task kind {entry.kind!r}")
+            return (("fetch_traffic", (route, entry.at), None, None),)
+        if entry.kind == WEATHER_BACKFILL:
+            before = plan.day - timedelta(days=1)
+            return tuple(("fetch_weather", (meta, before), "weather", meta.station.file_id)
+                         for meta in config.weather_stations)
+        if entry.kind == POLLUTION_SCRAPE:
+            hour = min(23, entry.at.hour)
+            return tuple(("fetch_pollution", (station, plan.day, hour), "pollution",
+                          station.file_id) for station in config.pollution_stations)
+        raise ConfigError(f"unknown task kind {entry.kind!r}")
+
+    def collect(method, args) -> None:
+        handlers[method](getattr(source, method)(*args), args[0])
+
+    def fire(entry) -> None:
+        for method, args, name, target in fetches(entry):
+            if name is None:
+                collect(method, args)
+            else:
+                _attempt(failures, name, target, collect, method, args)
 
     started_at = clock.now()
     daily = (WEATHER_BACKFILL, POLLUTION_SCRAPE)
+    due = [entry.at >= started_at or entry.kind in daily for entry in plan.entries]
+    read_ahead = getattr(source, "read_ahead", None)
+
+    def requests():
+        for entry in compress(plan.entries, due):
+            with suppress(ConfigError):  # fire records it
+                for method, args, _, _ in fetches(entry):
+                    yield method, args
+
     try:
-        with store.deferred():
-            for entry in plan.entries:
-                if entry.at < started_at and entry.kind not in daily:
+        with store.deferred(), (read_ahead(requests()) if read_ahead else nullcontext()):
+            for entry, fires in zip(plan.entries, due):
+                if not fires:
                     summary.skipped += 1
                     continue
                 clock.wait_until(entry.at)

@@ -31,6 +31,7 @@ from .model import (
     COMPASS_CODES,
     WEATHER_FLAG_ATTRIBUTES,
     WEATHER_NUMERIC_ATTRIBUTES,
+    WEATHER_TEXT_MAX,
     TRAFFIC_ATTRIBUTES,
     PollutionRecord,
     TrafficRecord,
@@ -218,11 +219,6 @@ def _begin(raw: RawReading, kind: str) -> tuple[datetime, ValidationReport]:
             f"unusable timestamp {raw.timestamp!r} for {raw.target}", report)
 
 
-# Longest zone, code or METAR text kept, far above a real METAR and far
-# below the 131,072 characters the csv module re-imports in one field.
-_TEXT_MAX = 4096
-
-
 def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, ValidationReport]:
     """Clean one weather candidate; bad fields become NA, never fatal.
 
@@ -271,8 +267,8 @@ def validate_weather(raw: RawReading, rules: RuleSet) -> tuple[WeatherRecord, Va
             continue
         if not text:
             report.add(attr, text, "non-empty text")
-        elif len(text) > _TEXT_MAX:
-            report.add(attr, text, f"text of at most {_TEXT_MAX} characters")
+        elif len(text) > WEATHER_TEXT_MAX:
+            report.add(attr, text, f"text of at most {WEATHER_TEXT_MAX} characters")
         elif "\n" in text or "\r" in text or "\0" in text:
             report.add(attr, text, "text without a line break or NUL")
         else:

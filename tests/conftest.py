@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from urbanobs import config as config_mod
@@ -48,6 +50,40 @@ rain = rain
 @pytest.fixture(autouse=True)
 def _no_store_env(monkeypatch):
     monkeypatch.delenv(config_mod.STORE_ENV_VAR, raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    if not hasattr(os, "fork"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"the test left a child process ({pid or 'still running'})")
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Pids of the children forked in the test, which may use two CPUs.
+
+    Read-ahead forks only where the process may run on two CPUs; the
+    test is given two whatever the machine has.
+    """
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    return pids
 
 
 @pytest.fixture(scope="session")

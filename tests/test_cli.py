@@ -7,6 +7,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -457,6 +458,38 @@ class TestClosedStdout:
             os.close(write_end)
         assert child.stderr == b""
         assert child.returncode == 1
+
+
+class TestRunOnAPipe:
+    def test_a_fork_replays_no_buffered_output(self, cfg_path, initialized):
+        # With stdout on a pipe, day 1's line is still in the buffer when
+        # day 2's read-ahead child is forked; that child must not write it.
+        code = textwrap.dedent("""
+            import os, sys
+            os.sched_getaffinity = lambda _pid: {0, 1}
+            fork, forks = os.fork, []
+
+            def recording_fork():
+                pid = fork()
+                forks.append(pid)
+                return pid
+
+            os.fork = recording_fork
+            from urbanobs.cli import main
+            code = main(sys.argv[1:])
+            sys.stderr.write(f"forks={len(forks)}")
+            sys.exit(code)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", str(cfg_path), "--store",
+             str(initialized), "--days", "2", "--start", DAY.isoformat()],
+            capture_output=True, env=env, timeout=60)
+        assert (child.returncode, child.stderr) == (0, b"forks=2")
+        assert [line.split(":")[0] for line in child.stdout.decode().splitlines()] == [
+            "day 2016-05-16", "day 2016-05-17"]
 
 
 class TestExport:

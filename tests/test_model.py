@@ -16,6 +16,7 @@ from urbanobs.model import (
     TrafficRecord,
     WEATHER_FLAG_ATTRIBUTES,
     WEATHER_NUMERIC_ATTRIBUTES,
+    WEATHER_TEXT_MAX,
     WeatherRecord,
     classify_imeca,
     compass_point,
@@ -202,6 +203,18 @@ class TestRecords:
         with pytest.raises(OutOfRangeError,
                            match=f"^{name} text is empty or holds a line break or NUL$"):
             WeatherRecord(timestamp=self.TS, station="pws_x", **{name: text})
+
+    @pytest.mark.parametrize("name", ["tz", "cond", "icon", "metar"])
+    def test_weather_text_has_a_length_limit(self, name):
+        # Over the limit, a METAR of 140,000 characters was stored and
+        # its export then failed import_csv past csv's field limit.
+        keep = "M" * WEATHER_TEXT_MAX
+        assert getattr(WeatherRecord(timestamp=self.TS, station="pws_x",
+                                     **{name: keep}), name) == keep
+        for length in (WEATHER_TEXT_MAX + 1, 140_000):
+            with pytest.raises(OutOfRangeError, match=(
+                    f"^{name} text is longer than {WEATHER_TEXT_MAX} characters$")):
+                WeatherRecord(timestamp=self.TS, station="pws_x", **{name: "M" * length})
 
     def test_weather_text_keeps_other_characters(self):
         rec = WeatherRecord(timestamp=self.TS, station="pws_x",

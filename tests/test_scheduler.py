@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
 import shlex
 import sqlite3
@@ -263,7 +264,7 @@ class TestRunDay:
         assert "fired=6" in summary.line()
 
     def test_the_three_method_interface_drives_a_day(self, tiny_cfg, tiny_store,
-                                                     plan):
+                                                     plan, forks):
         profile = tiny_cfg.profile
 
         class MinimalSource:
@@ -280,6 +281,8 @@ class TestRunDay:
             bootstrap_store(want, tiny_cfg)
             expected = run_day(plan, SynthSource(profile), want, tiny_cfg)
             summary = run_day(plan, MinimalSource(), tiny_store, tiny_cfg)
+            # SynthSource read its payloads ahead; MinimalSource has no read_ahead.
+            assert len(forks) == 1
             assert summary == expected and summary.failures == []
             assert list(tiny_store._conn.iterdump()) == list(want._conn.iterdump())
 
@@ -512,6 +515,59 @@ class TestRunDay:
         assert counts["traffics"] == 3 * 4
         assert counts["weathers"] == 3 * 72
         assert counts["pollutions"] == 3 * 22
+
+
+def _assert_reaped(pids) -> None:
+    """Each pid was a child of this process and has been reaped."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class _FailingClock(SimulatedClock):
+    """Raises on the third wait, mid-day."""
+
+    waits = 0
+
+    def wait_until(self, when: datetime) -> None:
+        self.waits += 1
+        if self.waits == 3:
+            raise RuntimeError("clock stopped")
+        super().wait_until(when)
+
+
+class TestReadAheadChild:
+    """run_day forks one read-ahead child for a source that has read_ahead,
+    and the child is gone however run_day ends."""
+
+    @pytest.fixture()
+    def plan(self, tiny_cfg):
+        return build_plan(tiny_cfg.windows, tiny_cfg.routes, DAY)
+
+    def test_gone_after_the_day_returns(self, tiny_cfg, tiny_store, plan, forks):
+        summary = run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        assert summary.failures == [] and summary.stored == 72 + 4 + 22
+        assert len(forks) == 1
+        _assert_reaped(forks)
+
+    def test_gone_after_the_store_fails_mid_day(self, tiny_cfg, tiny_store, plan, forks):
+        # The 74th insert is the second traffic record, past the weather.
+        store = _InterruptingStore(tiny_store, 73, StorageUnavailable("disk went away"))
+        with pytest.raises(RunAborted):
+            run_day(plan, SynthSource(tiny_cfg.profile), store, tiny_cfg)
+        assert len(forks) == 1
+        _assert_reaped(forks)
+
+    def test_gone_after_the_clock_raises(self, tiny_cfg, tiny_store, plan, forks):
+        clock = _FailingClock(datetime.combine(DAY, time(0, 0)))
+        with pytest.raises(RuntimeError, match="clock stopped"):
+            run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg, clock=clock)
+        assert len(forks) == 1
+        _assert_reaped(forks)
+
+    def test_none_for_a_source_without_read_ahead(self, tiny_cfg, tiny_store, plan, forks):
+        run_day(plan, FailingSource(), tiny_store, tiny_cfg)
+        assert forks == []
 
 
 class OneFeedSource:

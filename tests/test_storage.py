@@ -824,9 +824,11 @@ _BOUNDED = {"hum": st.floats(0, 100), "wdird": st.floats(0, 360),
                              "solarradiation", "uv", "vis", "precip"),
                             st.floats(min_value=0))}
 # Texts with the characters csv treats specially, the ones WeatherRecord
-# refuses ("\r", "\n", NUL) and any others.
-_RECORD_TEXT = st.none() | st.text(st.sampled_from(
+# refuses ("\r", "\n", NUL), any others, and texts at and past its
+# length limit (one past csv's 131,072-character field limit).
+_RECORD_TEXT = (st.none() | st.text(st.sampled_from(
     'a ,"\'\r\n\x00\t\x0b\x85\u2028\ufeff\xe9'), max_size=5) | st.text(max_size=5)
+    | st.sampled_from(["M" * 4096, "M" * 4097, "M" * 140_000]))
 
 
 @st.composite

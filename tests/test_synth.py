@@ -1,9 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from contextlib import contextmanager
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
+
+from urbanobs import synth
 
 from urbanobs.config import StationMeta
 from urbanobs.connectors import (
@@ -31,6 +41,7 @@ from urbanobs.synth import (
     gen_weather_day,
     route_distance_m,
 )
+from urbanobs.scheduler import build_plan, run_day
 from urbanobs.validation import RuleSet, validate_pollution, validate_weather
 
 DAY = date(2016, 5, 16)
@@ -292,3 +303,154 @@ class TestSource:
         a = SynthSource(SynthProfile(seed=1)).fetch_weather(meta(), DAY)
         b = SynthSource(SynthProfile(seed=2)).fetch_weather(meta(), DAY)
         assert a.body != b.body
+
+
+class _Listed(Exception):
+    """Carries the request list run_day handed to read_ahead."""
+
+
+class _ListingSource(SynthSource):
+    def read_ahead(self, requests):
+        raise _Listed(list(requests))
+
+
+def _day_requests(cfg, store) -> list:
+    """The (method, args) fetches run_day makes for one default-config day."""
+    plan = build_plan(cfg.windows, cfg.routes, DAY)
+    with pytest.raises(_Listed) as listed:
+        run_day(plan, _ListingSource(cfg.profile), store, cfg)
+    return listed.value.args[0]
+
+
+@contextmanager
+def _inline_renders(monkeypatch, delay_s=0.0):
+    """Record the gen_* calls of this process, each delayed by delay_s.
+
+    Entered after read_ahead has forked, it leaves the child's renderers
+    as they are: the calls it records are the fetches rendered inline.
+    """
+    calls = []
+
+    def recording(gen):
+        def render(profile, *args):
+            calls.append(args)
+            time.sleep(delay_s)
+            return gen(profile, *args)
+        return render
+
+    with monkeypatch.context() as m:
+        for gen in (gen_weather_day, gen_traffic_response, gen_pollution_day):
+            m.setattr(synth, gen.__name__, recording(gen))
+        yield calls
+
+
+def _wait_for_exit(pid: int, timeout_s: float = 30.0) -> None:
+    """Wait until the child has exited, leaving it to be reaped."""
+    deadline = time.monotonic() + timeout_s
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        if time.monotonic() > deadline:
+            pytest.fail(f"read-ahead child {pid} still ran after {timeout_s} s")
+        time.sleep(0.001)
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.fork and os.waitid")
+class TestReadAhead:
+    def test_every_fetch_of_a_default_day_equals_inline(self, default_cfg, store,
+                                                        forks, monkeypatch):
+        requests = _day_requests(default_cfg, store)
+        assert len(requests) == 32 + 2436 + 10
+        want = [getattr(SynthSource(default_cfg.profile), method)(*args)
+                for method, args in requests]
+        src = SynthSource(default_cfg.profile)
+        with src.read_ahead(requests):
+            # A slow inline render lets the child run ahead, so most
+            # payloads are the child's.
+            with _inline_renders(monkeypatch, delay_s=0.001) as inline:
+                got = [getattr(src, method)(*args) for method, args in requests]
+        assert len(forks) == 1
+        assert got == want
+        assert len(inline) < len(requests) // 2
+
+    def test_unrenderable_and_unlisted_fetches_are_inline(self, forks, monkeypatch):
+        src = SynthSource()
+        polls = [("fetch_traffic", (ROUTE, datetime(2016, 5, 16, 6, m)))
+                 for m in range(0, 60, 12)]
+        bad = ("fetch_pollution", (MONITOR, DAY, 1))
+        with pytest.raises(ConfigError) as inline_err:
+            gen_pollution_day(src.profile, MONITOR, DAY, 1)
+        unlisted = (ROUTE, datetime(2016, 5, 16, 23, 59))
+        with src.read_ahead(polls[:2] + [bad] + polls[2:]):
+            _wait_for_exit(forks[0])  # everything it could render has arrived
+            with _inline_renders(monkeypatch) as inline:
+                got = [src.fetch_traffic(*args) for _, args in polls[:2]]
+                with pytest.raises(ConfigError) as err:
+                    src.fetch_pollution(*bad[1])
+                got.append(src.fetch_traffic(*unlisted))
+                got += [src.fetch_traffic(*args) for _, args in polls[2:]]
+        assert str(err.value) == str(inline_err.value)
+        assert inline == [bad[1], unlisted]
+        want = [gen_traffic_response(src.profile, *args)
+                for args in [p[1] for p in polls[:2]] + [unlisted] + [p[1] for p in polls[2:]]]
+        assert got == want
+
+    @pytest.mark.parametrize("gate", ["one cpu", "a second thread", "no fork"])
+    def test_inline_without_a_second_cpu_or_fork_or_with_a_thread(self, forks,
+                                                                    monkeypatch, gate):
+        if gate == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
+        elif gate == "no fork":
+            monkeypatch.delattr(os, "fork")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if gate == "a second thread":
+            thread.start()
+        src = SynthSource()
+        polls = [("fetch_traffic", (ROUTE, datetime(2016, 5, 16, 7, m))) for m in range(3)]
+        try:
+            with src.read_ahead(polls), _inline_renders(monkeypatch) as inline:
+                got = [src.fetch_traffic(*args) for _, args in polls]
+        finally:
+            release.set()
+            if gate == "a second thread":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert inline == [args for _, args in polls]
+        assert got == [gen_traffic_response(src.profile, *args) for _, args in polls]
+
+    def test_a_child_whose_reader_is_gone_exits_and_prints_nothing(self, tmp_path):
+        # The parent exits inside read_ahead, so the child's next write
+        # finds no reader. Both hold the captured pipes until they exit.
+        pid_file = tmp_path / "child.pid"
+        code = textwrap.dedent(f"""
+            import os, sys
+            from datetime import date, timedelta
+            from urbanobs.config import load_default
+            from urbanobs.synth import SynthSource
+
+            os.sched_getaffinity = lambda _pid: {{0, 1}}
+            fork = os.fork
+
+            def recording_fork():
+                pid = fork()
+                if pid:
+                    with open({str(pid_file)!r}, "w", encoding="utf-8") as f:
+                        f.write(str(pid))
+                return pid
+
+            os.fork = recording_fork
+            cfg = load_default()
+            # About 2 MB of payloads: more than the pipe holds.
+            requests = [("fetch_weather", (meta, date(2016, 5, 16) + timedelta(days=d)))
+                        for d in range(3) for meta in cfg.weather_stations]
+            print("buffered, never flushed")
+            with SynthSource(cfg.profile).read_ahead(requests):
+                os._exit(0)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               env=env, timeout=60)
+        assert pid_file.read_text(encoding="utf-8").isdigit()
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
