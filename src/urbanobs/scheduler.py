@@ -295,21 +295,22 @@ def run_day(plan: CadencePlan, source, store, config,
                 summary.rejected += 1
                 failures.append(f"{raw.timestamp} {raw.target}: {exc}")
 
-    def weather(payload, meta) -> None:
+    def weather(meta, day) -> None:
+        payload = source.fetch_weather(meta, day)
         readings, quarantined = parse_weather_observations(payload, stations)
         quarantine.extend(quarantined)
         summary.quarantined += len(quarantined)
         ingest(validate_weather, readings)
 
-    def traffic(payload, route) -> None:
-        ingest(validate_traffic, [parse_traffic_response(payload, route)])
+    def traffic(route, at) -> None:
+        ingest(validate_traffic, [parse_traffic_response(source.fetch_traffic(route, at), route)])
 
-    def pollution(payload, station) -> None:
-        readings = parse_pollution_tables(payload)
-        ingest(validate_pollution, assemble_station_day(readings, station, plan.day))
+    def pollution(station, day, hour) -> None:
+        readings = parse_pollution_tables(source.fetch_pollution(station, day, hour))
+        ingest(validate_pollution, assemble_station_day(readings, station, day))
 
-    handlers = {"fetch_weather": weather, "fetch_traffic": traffic,
-                "fetch_pollution": pollution}
+    jobs = {"fetch_weather": weather, "fetch_traffic": traffic,
+            "fetch_pollution": pollution}
 
     def fetches(entry) -> tuple[tuple[str, tuple, str | None, str | None], ...]:
         """The entry's fetches in order: (source method, its args, failure name, target).
@@ -333,15 +334,12 @@ def run_day(plan: CadencePlan, source, store, config,
                           station.file_id) for station in config.pollution_stations)
         raise ConfigError(f"unknown task kind {entry.kind!r}")
 
-    def collect(method, args) -> None:
-        handlers[method](getattr(source, method)(*args), args[0])
-
     def fire(entry) -> None:
         for method, args, name, target in fetches(entry):
             if name is None:
-                collect(method, args)
+                jobs[method](*args)
             else:
-                _attempt(failures, name, target, collect, method, args)
+                _attempt(failures, name, target, jobs[method], *args)
 
     started_at = clock.now()
     daily = (WEATHER_BACKFILL, POLLUTION_SCRAPE)

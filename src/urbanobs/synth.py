@@ -303,22 +303,28 @@ _RENDERERS = {
     "fetch_pollution": gen_pollution_day,
 }
 
-# A frame carries rendered payloads from the child: a header (pickle
-# bytes, index of the first request, payload count), then the pickled
-# list, with None for a request the child could not render. A frame is
+# A frame carries rendered payloads from the child: the pickle's length
+# in bytes, then the pickled list of the next requests' payloads in
+# order, with None for a request the child could not render. A frame is
 # sent once it holds _FRAME_PAYLOADS payloads or _FRAME_BYTES of bodies:
 # the parent reads once per 64 polls, and a frame holds one or two
 # station-days of weather (about 23 KB each), so the first ones arrive
 # while the parent still renders its own.
-_FRAME = struct.Struct("<III")
+_FRAME_LEN = struct.Struct("<I")
 _FRAME_PAYLOADS = 64
 _FRAME_BYTES = 1 << 15
 _READ_BYTES = 1 << 16
 
 
 def _fork_helps() -> bool:
-    """Whether a forked child would render beside this process, not in its way."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    """Whether a forked child would render beside this process, not in its way.
+
+    The child must also be left for this process to reap: under an
+    ignored or handled SIGCHLD it may be reaped, and its pid reused,
+    before read_ahead kills it.
+    """
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL):
         return False
     try:
         return len(os.sched_getaffinity(0)) >= 2
@@ -328,7 +334,7 @@ def _fork_helps() -> bool:
 
 def _render_frames(fd: int, profile: SynthProfile, requests) -> None:
     """In the child: render each request in order and write frames to fd."""
-    frame, start, size = [], 0, 0
+    frame, size = [], 0
     for i, (method, args) in enumerate(requests, 1):
         try:
             payload = _RENDERERS[method](profile, *args)
@@ -338,44 +344,10 @@ def _render_frames(fd: int, profile: SynthProfile, requests) -> None:
         frame.append(payload)
         if len(frame) == _FRAME_PAYLOADS or size >= _FRAME_BYTES or i == len(requests):
             body = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
-            data = memoryview(_FRAME.pack(len(body), start, len(frame)) + body)
+            data = memoryview(_FRAME_LEN.pack(len(body)) + body)
             while data:
                 data = data[os.write(fd, data):]
-            frame, start, size = [], i, 0
-
-
-def _fork_renderer(profile: SynthProfile, requests):
-    """Fork a child that renders `requests` into a pipe.
-
-    Returns (pid, read end, the requests as a list), or None when every
-    fetch should be inline. A forked child starts from this process's
-    state, with the requests and the profile in hand and nothing to
-    import; that is why it is skipped while another thread runs.
-    """
-    if not _fork_helps():
-        return None
-    requests = list(requests)
-    if not requests:
-        return None
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory: every fetch is inline
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        # Never back into the caller: _exit flushes no inherited stdio
-        # buffer and prints no traceback, also when the parent has
-        # closed the pipe.
-        try:
-            os.close(r)
-            _render_frames(w, profile, requests)
-        finally:
-            os._exit(0)
-    os.close(w)
-    os.set_blocking(r, False)
-    return pid, r, requests
+            frame, size = [], 0
 
 
 class _Arrivals:
@@ -395,24 +367,26 @@ class _Arrivals:
         if i >= len(self._requests) or self._requests[i] != (method, args):
             return None
         self._next = i + 1
-        k = i - self._start
-        if k >= len(self._frame):
+        if i - self._start >= len(self._frame):
             self._pull(i)
-            k = i - self._start
+        k = i - self._start
         return self._frame[k] if k < len(self._frame) else None
 
     def _pull(self, i: int) -> None:
-        """Read what has arrived up to the frame holding request i; drop older frames."""
+        """Read what has arrived up to the frame holding request i; drop older frames.
+
+        Frames come in request order, so each starts where the one
+        before it ended.
+        """
         buf = self._buf
         while True:
-            if len(buf) >= _FRAME.size:
-                nbytes, start, count = _FRAME.unpack_from(buf)
-                end = _FRAME.size + nbytes
+            if len(buf) >= _FRAME_LEN.size:
+                end = _FRAME_LEN.size + _FRAME_LEN.unpack_from(buf)[0]
                 if len(buf) >= end:
-                    body = buf[_FRAME.size:end]
+                    self._start += len(self._frame)
+                    self._frame = pickle.loads(buf[_FRAME_LEN.size:end])
                     del buf[:end]
-                    if start + count > i:
-                        self._start, self._frame = start, pickle.loads(body)
+                    if self._start + len(self._frame) > i:
                         return
                     continue
             if self._fd is None:
@@ -457,20 +431,41 @@ class SynthSource:
         payload if it has arrived and renders inline otherwise, so it
         never waits for the child; a fetch that is not the next one
         listed, or that the child could not render, is rendered inline
-        too. Every fetch is inline without fork, on one CPU and when a
-        thread runs beside this one. The child is killed and reaped on
-        leaving.
+        too. Every fetch is inline without fork, on one CPU, when a
+        thread runs beside this one and when SIGCHLD is not left at its
+        default. The child starts from this process's state, with the
+        requests and the profile in hand and nothing to import, which is
+        why none is forked while another thread runs. It is killed and
+        reaped on leaving.
         """
-        child = _fork_renderer(self.profile, requests)
-        if child is None:
+        requests = list(requests) if _fork_helps() else []
+        if not requests:
             yield
             return
-        pid, fd, requests = child
-        self._arrivals = _Arrivals(requests, fd)
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory: every fetch is inline
+            os.close(r)
+            os.close(w)
+            yield
+            return
+        if pid == 0:
+            # Never back into the caller: _exit flushes no inherited stdio
+            # buffer and prints no traceback, also when the parent has
+            # closed the pipe.
+            try:
+                os.close(r)
+                _render_frames(w, self.profile, requests)
+            finally:
+                os._exit(0)
+        os.close(w)
+        os.set_blocking(r, False)
+        self._arrivals = _Arrivals(requests, r)
         try:
             yield
         finally:
             self._arrivals = None
-            os.close(fd)
+            os.close(r)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import shlex
+import signal
 import sqlite3
 from contextlib import contextmanager
 from datetime import date, datetime, time, timedelta
@@ -567,6 +568,20 @@ class TestReadAheadChild:
 
     def test_none_for_a_source_without_read_ahead(self, tiny_cfg, tiny_store, plan, forks):
         run_day(plan, FailingSource(), tiny_store, tiny_cfg)
+        assert forks == []
+
+    def test_none_and_the_day_stored_under_an_ignored_sigchld(self, tiny_cfg, tiny_store,
+                                                             plan, forks):
+        # The kernel reaps such a child itself, so read_ahead could not
+        # kill and wait for it: it forks none.
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            summary = run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert summary.failures == [] and summary.stored == 72 + 4 + 22
+        assert [tiny_store.record_count(t) for t in ("weathers", "traffics", "pollutions")] \
+            == [72, 4, 22]
         assert forks == []
 
 

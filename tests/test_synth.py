@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
 import time
 from contextlib import contextmanager
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -393,17 +394,65 @@ class TestReadAhead:
                 for args in [p[1] for p in polls[:2]] + [unlisted] + [p[1] for p in polls[2:]]]
         assert got == want
 
-    @pytest.mark.parametrize("gate", ["one cpu", "a second thread", "no fork"])
+    def test_a_parent_ahead_of_the_child_takes_its_later_payloads(self, forks,
+                                                                  monkeypatch):
+        # The child blocks at its first render until the parent, having
+        # rendered 70 polls inline, opens the gate: the child's frames
+        # then start behind the parent, which must skip to its request.
+        parent = os.getpid()
+        gate_r, gate_w = os.pipe()
+        blocked = []
+
+        def gated(profile, route, at):
+            if os.getpid() != parent and not blocked:
+                blocked.append(os.read(gate_r, 1))
+            return gen_traffic_response(profile, route, at)
+
+        monkeypatch.setitem(synth._RENDERERS, "fetch_traffic", gated)
+        src = SynthSource()
+        polls = [("fetch_traffic", (ROUTE, datetime(2016, 5, 16, 0, 0) + timedelta(minutes=m)))
+                 for m in range(200)]
+        try:
+            with src.read_ahead(polls):
+                with _inline_renders(monkeypatch) as inline:
+                    got = [src.fetch_traffic(*args) for _, args in polls[:70]]
+                    os.write(gate_w, b"x")
+                    _wait_for_exit(forks[0])
+                    got += [src.fetch_traffic(*args) for _, args in polls[70:]]
+        finally:
+            os.close(gate_r)
+            os.close(gate_w)
+        assert inline == [args for _, args in polls[:70]]
+        assert got == [gen_traffic_response(src.profile, *args) for _, args in polls]
+
+    @pytest.mark.parametrize("gate", ["one cpu", "a second thread", "no fork",
+                                      "fork fails", "no affinity call", "SIGCHLD ignored"])
     def test_inline_without_a_second_cpu_or_fork_or_with_a_thread(self, forks,
                                                                     monkeypatch, gate):
         if gate == "one cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
         elif gate == "no fork":
             monkeypatch.delattr(os, "fork")
+        elif gate == "no affinity call":
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        pipes = []
+        if gate == "fork fails":
+            def failing_fork():
+                raise OSError("out of processes")
+
+            def recording_pipe(pipe=os.pipe):
+                pipes.extend(pipe())
+                return tuple(pipes[-2:])
+
+            monkeypatch.setattr(os, "fork", failing_fork)
+            monkeypatch.setattr(os, "pipe", recording_pipe)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         if gate == "a second thread":
             thread.start()
+        if gate == "SIGCHLD ignored":
+            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         src = SynthSource()
         polls = [("fetch_traffic", (ROUTE, datetime(2016, 5, 16, 7, m))) for m in range(3)]
         try:
@@ -413,8 +462,14 @@ class TestReadAhead:
             release.set()
             if gate == "a second thread":
                 thread.join(timeout=10)
+            if gate == "SIGCHLD ignored":
+                signal.signal(signal.SIGCHLD, previous)
         assert not thread.is_alive()
         assert forks == []
+        assert len(pipes) == (2 if gate == "fork fails" else 0)
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
         assert inline == [args for _, args in polls]
         assert got == [gen_traffic_response(src.profile, *args) for _, args in polls]
 
