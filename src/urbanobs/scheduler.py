@@ -13,22 +13,29 @@ Entries already in the past when the run starts are skipped, except
 the two daily jobs, which are replayed once because their payloads are
 historical anyway.
 
-Each entry maps to its fetches, a source method and its arguments, in
-one place that `run_day` uses both to fire the entry and to list the
-day's fetches ahead. A source with a `read_ahead(requests)` method
-(`SynthSource`) is given that list before the first entry fires and
-may render the payloads early; `run_day` leaves it when the day
-returns or raises.
+Each due entry maps to its fetches, a source method and its arguments
+with the job that ingests the payload, and `run_day` numbers the day's
+fetches once, in firing order, before the first entry fires. For a
+plain `SynthSource`, whose payloads depend only on their arguments, one
+forked child makes the same listed fetches in order and streams the
+payloads back, so payload i belongs to fetch i; a fetch takes the
+child's payload if it has arrived and is made inline otherwise. Any
+other source, a `SynthSource` subclass included, fetches inline: an
+override may have side effects, and those must happen in this process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import struct
+import threading
 import time as _time
 from bisect import bisect_left
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
-from itertools import compress
 from typing import Protocol, Sequence
 
 from .connectors import (
@@ -47,6 +54,7 @@ from .errors import (
     RunAborted,
     StorageUnavailable,
 )
+from .synth import SynthSource
 from .validation import validate_pollution, validate_traffic, validate_weather
 
 __all__ = [
@@ -248,14 +256,143 @@ class RunSummary:
                 f"quarantined={self.quarantined} failures={len(self.failures)}")
 
 
-def _attempt(failures: list[str], name: str, target: str, job, *args) -> None:
-    """Run job(*args); record an Error as "<name> <target>: <exc>", but a store's goes on up."""
+# A frame carries fetched payloads from the read-ahead child: the
+# pickle's length in bytes, then the pickled list of the next fetches'
+# payloads in order, with None for a fetch that raised in the child. A
+# frame is sent once it holds _FRAME_PAYLOADS payloads or _FRAME_BYTES of
+# bodies: the parent reads once per 64 polls, and a frame holds one or
+# two station-days of weather (about 23 KB each), so the first ones
+# arrive while the parent still fetches its own.
+_FRAME_LEN = struct.Struct("<I")
+_FRAME_PAYLOADS = 64
+_FRAME_BYTES = 1 << 15
+_READ_BYTES = 1 << 16
+
+
+def _fork_helps() -> bool:
+    """Whether a forked child would fetch beside this process, not in its way.
+
+    The child must also be left for this process to reap: under an
+    ignored or handled SIGCHLD it may be reaped, and its pid reused,
+    before _read_ahead kills it.
+    """
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL):
+        return False
     try:
-        job(*args)
-    except StorageUnavailable:
-        raise
-    except Error as exc:
-        failures.append(f"{name} {target}: {exc}")
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) >= 2
+
+
+def _write_frames(fd: int, listed) -> None:
+    """In the child: make each listed fetch in order and write frames to fd."""
+    frame, size = [], 0
+    for i, (fetch, args, *_) in enumerate(listed, 1):
+        try:
+            payload = fetch(*args)
+            size += len(payload.body)
+        except Exception:
+            payload = None  # the parent fetches it and raises there
+        frame.append(payload)
+        if len(frame) == _FRAME_PAYLOADS or size >= _FRAME_BYTES or i == len(listed):
+            body = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+            data = memoryview(_FRAME_LEN.pack(len(body)) + body)
+            while data:
+                data = data[os.write(fd, data):]
+            frame, size = [], 0
+
+
+class _Arrivals:
+    """The parent's end of a read-ahead: the child's payloads, by list index."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd = fd         # non-blocking; None once the child is done
+        self._buf = bytearray()
+        self._start = 0       # list index of _frame[0]
+        self._frame = []
+
+    def take(self, i: int):
+        """The child's payload for fetch i, or None to fetch it inline."""
+        if i - self._start >= len(self._frame):
+            self._pull(i)
+        k = i - self._start
+        return self._frame[k] if k < len(self._frame) else None
+
+    def _pull(self, i: int) -> None:
+        """Read what has arrived up to the frame holding fetch i; drop older frames.
+
+        Frames come in list order, so each starts where the one before
+        it ended.
+        """
+        buf = self._buf
+        while True:
+            if len(buf) >= _FRAME_LEN.size:
+                end = _FRAME_LEN.size + _FRAME_LEN.unpack_from(buf)[0]
+                if len(buf) >= end:
+                    self._start += len(self._frame)
+                    self._frame = pickle.loads(buf[_FRAME_LEN.size:end])
+                    del buf[:end]
+                    if self._start + len(self._frame) > i:
+                        return
+                    continue
+            if self._fd is None:
+                return
+            try:
+                data = os.read(self._fd, _READ_BYTES)
+            except BlockingIOError:
+                return
+            if not data:  # the child has sent everything
+                self._fd = None
+            buf += data
+
+
+@contextmanager
+def _read_ahead(listed):
+    """Make `listed`'s fetches, each (source method, its args, ...), in a child.
+
+    One forked child makes them in order and streams the payloads back
+    over a pipe. This yields the `_Arrivals` to take them from by list
+    index, or None: a fetch whose payload has not arrived, or that
+    raised in the child, is made inline, so it never waits for the
+    child. Every fetch is inline without fork, on one CPU, when a
+    thread runs beside this one and when SIGCHLD is not left at its
+    default. The child starts from this process's state, with the list
+    in hand and nothing to import, which is why none is forked while
+    another thread runs. It is killed and reaped on leaving.
+    """
+    if not listed or not _fork_helps():
+        yield None
+        return
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: every fetch is inline
+        os.close(r)
+        os.close(w)
+        yield None
+        return
+    if pid == 0:
+        # Never back into the caller: _exit flushes no inherited stdio
+        # buffer and prints no traceback, also when the parent has
+        # closed the pipe.
+        try:
+            os.close(r)
+            _write_frames(w, listed)
+        finally:
+            os._exit(0)
+    os.close(w)
+    os.set_blocking(r, False)
+    try:
+        yield _Arrivals(r)
+    finally:
+        os.close(r)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _raise(exc: Exception):
+    raise exc
 
 
 def run_day(plan: CadencePlan, source, store, config,
@@ -295,71 +432,73 @@ def run_day(plan: CadencePlan, source, store, config,
                 summary.rejected += 1
                 failures.append(f"{raw.timestamp} {raw.target}: {exc}")
 
-    def weather(meta, day) -> None:
-        payload = source.fetch_weather(meta, day)
+    def weather(payload, _meta, _day) -> None:
         readings, quarantined = parse_weather_observations(payload, stations)
         quarantine.extend(quarantined)
         summary.quarantined += len(quarantined)
         ingest(validate_weather, readings)
 
-    def traffic(route, at) -> None:
-        ingest(validate_traffic, [parse_traffic_response(source.fetch_traffic(route, at), route)])
+    def traffic(payload, route, _at) -> None:
+        ingest(validate_traffic, [parse_traffic_response(payload, route)])
 
-    def pollution(station, day, hour) -> None:
-        readings = parse_pollution_tables(source.fetch_pollution(station, day, hour))
+    def pollution(payload, station, day, _hour) -> None:
+        readings = parse_pollution_tables(payload)
         ingest(validate_pollution, assemble_station_day(readings, station, day))
 
-    jobs = {"fetch_weather": weather, "fetch_traffic": traffic,
-            "fetch_pollution": pollution}
-
-    def fetches(entry) -> tuple[tuple[str, tuple, str | None, str | None], ...]:
-        """The entry's fetches in order: (source method, its args, failure name, target).
+    def fetches(entry) -> list[tuple]:
+        """The entry's fetches in order: (source method, its args, job, failure name, target).
 
         One broken station feed must not cost the other stations, so a
         sweep's fetches each name their station as the failure target.
-        A poll names none: its failure is the entry's.
+        A poll's failure is the entry's.
         """
         if entry.kind == TRAFFIC_POLL:
             route = routes.get(entry.target)
             if route is None:
                 raise ConfigError(f"plan names unknown route {entry.target!r}")
-            return (("fetch_traffic", (route, entry.at), None, None),)
+            return [(source.fetch_traffic, (route, entry.at), traffic, entry.kind, entry.target)]
         if entry.kind == WEATHER_BACKFILL:
             before = plan.day - timedelta(days=1)
-            return tuple(("fetch_weather", (meta, before), "weather", meta.station.file_id)
-                         for meta in config.weather_stations)
+            return [(source.fetch_weather, (meta, before), weather, "weather",
+                     meta.station.file_id) for meta in config.weather_stations]
         if entry.kind == POLLUTION_SCRAPE:
-            hour = min(23, entry.at.hour)
-            return tuple(("fetch_pollution", (station, plan.day, hour), "pollution",
-                          station.file_id) for station in config.pollution_stations)
+            return [(source.fetch_pollution, (station, plan.day, entry.at.hour), pollution,
+                     "pollution", station.file_id) for station in config.pollution_stations]
         raise ConfigError(f"unknown task kind {entry.kind!r}")
 
-    def fire(entry) -> None:
-        for method, args, name, target in fetches(entry):
-            if name is None:
-                jobs[method](*args)
-            else:
-                _attempt(failures, name, target, jobs[method], *args)
-
+    # The due entries' fetches, numbered in firing order, and per plan
+    # entry the numbers of its fetches, or None if it is skipped. An
+    # entry that cannot be mapped is one fetch that raises its error.
     started_at = clock.now()
     daily = (WEATHER_BACKFILL, POLLUTION_SCRAPE)
-    due = [entry.at >= started_at or entry.kind in daily for entry in plan.entries]
-    read_ahead = getattr(source, "read_ahead", None)
-
-    def requests():
-        for entry in compress(plan.entries, due):
-            with suppress(ConfigError):  # fire records it
-                for method, args, _, _ in fetches(entry):
-                    yield method, args
+    listed, spans = [], []
+    for entry in plan.entries:
+        if entry.at < started_at and entry.kind not in daily:
+            spans.append(None)
+            continue
+        start = len(listed)
+        try:
+            listed += fetches(entry)
+        except ConfigError as exc:
+            listed.append((_raise, (exc,), None, entry.kind, entry.target))
+        spans.append(range(start, len(listed)))
 
     try:
-        with store.deferred(), (read_ahead(requests()) if read_ahead else nullcontext()):
-            for entry, fires in zip(plan.entries, due):
-                if not fires:
+        with store.deferred(), _read_ahead(
+                listed if type(source) is SynthSource else ()) as arrivals:
+            for entry, span in zip(plan.entries, spans):
+                if span is None:
                     summary.skipped += 1
                     continue
                 clock.wait_until(entry.at)
-                _attempt(failures, entry.kind, entry.target, fire, entry)
+                for i in span:
+                    fetch, args, job, name, target = listed[i]
+                    try:
+                        job(arrivals and arrivals.take(i) or fetch(*args), *args)
+                    except StorageUnavailable:
+                        raise
+                    except Error as exc:
+                        failures.append(f"{name} {target}: {exc}")
                 summary.fired += 1
     except StorageUnavailable as exc:
         raise RunAborted(f"store unavailable on {plan.day}: {exc}", summary) from exc

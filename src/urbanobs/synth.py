@@ -12,23 +12,16 @@ works if validation has nothing to drop. Gaps, pollution episodes and
 whole-day outages come from the same seeded stream, so a given seed
 always produces the same holes.
 
-Because a payload depends on nothing but those inputs, it can also be
-rendered early: `SynthSource.read_ahead` renders a day's fetches in a
-child process on a second CPU, and each fetch takes the child's payload
-when it has arrived.
+Because a payload depends on nothing but those inputs, `run_day` can
+have a day's payloads rendered early, in a child process on a second
+CPU (see `urbanobs.scheduler`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
-import pickle
 import random
-import signal
-import struct
-import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from typing import Mapping
@@ -297,175 +290,18 @@ def gen_pollution_day(profile: SynthProfile, station: PollutionStation,
                          f"synth:pollution/{station.file_id}/{day.isoformat()}")
 
 
-_RENDERERS = {
-    "fetch_weather": gen_weather_day,
-    "fetch_traffic": gen_traffic_response,
-    "fetch_pollution": gen_pollution_day,
-}
-
-# A frame carries rendered payloads from the child: the pickle's length
-# in bytes, then the pickled list of the next requests' payloads in
-# order, with None for a request the child could not render. A frame is
-# sent once it holds _FRAME_PAYLOADS payloads or _FRAME_BYTES of bodies:
-# the parent reads once per 64 polls, and a frame holds one or two
-# station-days of weather (about 23 KB each), so the first ones arrive
-# while the parent still renders its own.
-_FRAME_LEN = struct.Struct("<I")
-_FRAME_PAYLOADS = 64
-_FRAME_BYTES = 1 << 15
-_READ_BYTES = 1 << 16
-
-
-def _fork_helps() -> bool:
-    """Whether a forked child would render beside this process, not in its way.
-
-    The child must also be left for this process to reap: under an
-    ignored or handled SIGCHLD it may be reaped, and its pid reused,
-    before read_ahead kills it.
-    """
-    if (not hasattr(os, "fork") or threading.active_count() > 1
-            or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) >= 2
-
-
-def _render_frames(fd: int, profile: SynthProfile, requests) -> None:
-    """In the child: render each request in order and write frames to fd."""
-    frame, size = [], 0
-    for i, (method, args) in enumerate(requests, 1):
-        try:
-            payload = _RENDERERS[method](profile, *args)
-            size += len(payload.body)
-        except Exception:
-            payload = None  # the parent renders it and raises there
-        frame.append(payload)
-        if len(frame) == _FRAME_PAYLOADS or size >= _FRAME_BYTES or i == len(requests):
-            body = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
-            data = memoryview(_FRAME_LEN.pack(len(body)) + body)
-            while data:
-                data = data[os.write(fd, data):]
-            frame, size = [], 0
-
-
-class _Arrivals:
-    """The parent's end of a read-ahead: the child's payloads, by request."""
-
-    def __init__(self, requests, fd: int) -> None:
-        self._requests = requests
-        self._fd = fd         # non-blocking; None once the child is done
-        self._buf = bytearray()
-        self._next = 0        # index of the request expected next
-        self._start = 0       # request index of _frame[0]
-        self._frame = []
-
-    def take(self, method: str, args: tuple):
-        """The child's payload for this fetch, or None to render it inline."""
-        i = self._next
-        if i >= len(self._requests) or self._requests[i] != (method, args):
-            return None
-        self._next = i + 1
-        if i - self._start >= len(self._frame):
-            self._pull(i)
-        k = i - self._start
-        return self._frame[k] if k < len(self._frame) else None
-
-    def _pull(self, i: int) -> None:
-        """Read what has arrived up to the frame holding request i; drop older frames.
-
-        Frames come in request order, so each starts where the one
-        before it ended.
-        """
-        buf = self._buf
-        while True:
-            if len(buf) >= _FRAME_LEN.size:
-                end = _FRAME_LEN.size + _FRAME_LEN.unpack_from(buf)[0]
-                if len(buf) >= end:
-                    self._start += len(self._frame)
-                    self._frame = pickle.loads(buf[_FRAME_LEN.size:end])
-                    del buf[:end]
-                    if self._start + len(self._frame) > i:
-                        return
-                    continue
-            if self._fd is None:
-                return
-            try:
-                data = os.read(self._fd, _READ_BYTES)
-            except BlockingIOError:
-                return
-            if not data:  # the child has sent everything
-                self._fd = None
-            buf += data
-
-
 class SynthSource:
     """Source registry backed by the generator; drop-in for live feeds."""
-
-    _arrivals: _Arrivals | None = None  # set inside read_ahead
 
     def __init__(self, profile: SynthProfile | None = None) -> None:
         self.profile = profile or SynthProfile()
 
     def fetch_weather(self, meta, day: date) -> SourcePayload:
-        return (self._arrivals and self._arrivals.take("fetch_weather", (meta, day))
-                or gen_weather_day(self.profile, meta, day))
+        return gen_weather_day(self.profile, meta, day)
 
     def fetch_traffic(self, route: TrafficRoute, at: datetime) -> SourcePayload:
-        return (self._arrivals and self._arrivals.take("fetch_traffic", (route, at))
-                or gen_traffic_response(self.profile, route, at))
+        return gen_traffic_response(self.profile, route, at)
 
     def fetch_pollution(self, station: PollutionStation, day: date,
                         request_hour: int = 23) -> SourcePayload:
-        args = (station, day, request_hour)
-        return (self._arrivals and self._arrivals.take("fetch_pollution", args)
-                or gen_pollution_day(self.profile, *args))
-
-    @contextlib.contextmanager
-    def read_ahead(self, requests):
-        """Render `requests`, the (method name, args) fetches to come, in a child.
-
-        One forked child renders them in order with the gen_* functions
-        and streams them back over a pipe. A fetch takes the child's
-        payload if it has arrived and renders inline otherwise, so it
-        never waits for the child; a fetch that is not the next one
-        listed, or that the child could not render, is rendered inline
-        too. Every fetch is inline without fork, on one CPU, when a
-        thread runs beside this one and when SIGCHLD is not left at its
-        default. The child starts from this process's state, with the
-        requests and the profile in hand and nothing to import, which is
-        why none is forked while another thread runs. It is killed and
-        reaped on leaving.
-        """
-        requests = list(requests) if _fork_helps() else []
-        if not requests:
-            yield
-            return
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # out of processes or memory: every fetch is inline
-            os.close(r)
-            os.close(w)
-            yield
-            return
-        if pid == 0:
-            # Never back into the caller: _exit flushes no inherited stdio
-            # buffer and prints no traceback, also when the parent has
-            # closed the pipe.
-            try:
-                os.close(r)
-                _render_frames(w, self.profile, requests)
-            finally:
-                os._exit(0)
-        os.close(w)
-        os.set_blocking(r, False)
-        self._arrivals = _Arrivals(requests, r)
-        try:
-            yield
-        finally:
-            self._arrivals = None
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        return gen_pollution_day(self.profile, station, day, request_hour)

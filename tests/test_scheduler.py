@@ -282,7 +282,7 @@ class TestRunDay:
             bootstrap_store(want, tiny_cfg)
             expected = run_day(plan, SynthSource(profile), want, tiny_cfg)
             summary = run_day(plan, MinimalSource(), tiny_store, tiny_cfg)
-            # SynthSource read its payloads ahead; MinimalSource has no read_ahead.
+            # run_day reads ahead for a plain SynthSource only, so MinimalSource forks none.
             assert len(forks) == 1
             assert summary == expected and summary.failures == []
             assert list(tiny_store._conn.iterdump()) == list(want._conn.iterdump())

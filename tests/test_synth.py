@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from urbanobs import synth
+from urbanobs import scheduler, synth
 
 from urbanobs.config import StationMeta
 from urbanobs.connectors import (
@@ -42,7 +42,17 @@ from urbanobs.synth import (
     gen_weather_day,
     route_distance_m,
 )
-from urbanobs.scheduler import build_plan, run_day
+from urbanobs.cli import bootstrap_store
+from urbanobs.scheduler import (
+    ALL_TARGETS,
+    TRAFFIC_POLL,
+    CadencePlan,
+    PlanEntry,
+    SimulatedClock,
+    build_plan,
+    run_day,
+)
+from urbanobs.storage import Store
 from urbanobs.validation import RuleSet, validate_pollution, validate_weather
 
 DAY = date(2016, 5, 16)
@@ -307,27 +317,32 @@ class TestSource:
 
 
 class _Listed(Exception):
-    """Carries the request list run_day handed to read_ahead."""
+    """Carries the fetch list run_day handed to the read-ahead."""
 
 
-class _ListingSource(SynthSource):
-    def read_ahead(self, requests):
-        raise _Listed(list(requests))
+def _day_fetches(cfg, store, monkeypatch) -> list:
+    """The (source method, args, ...) fetches run_day lists for one default-config day."""
+    def listing(listed):
+        raise _Listed(list(listed))
 
-
-def _day_requests(cfg, store) -> list:
-    """The (method, args) fetches run_day makes for one default-config day."""
     plan = build_plan(cfg.windows, cfg.routes, DAY)
-    with pytest.raises(_Listed) as listed:
-        run_day(plan, _ListingSource(cfg.profile), store, cfg)
+    with monkeypatch.context() as m, pytest.raises(_Listed) as listed:
+        m.setattr(scheduler, "_read_ahead", listing)
+        run_day(plan, SynthSource(cfg.profile), store, cfg)
     return listed.value.args[0]
+
+
+def _take(arrivals, listed, i):
+    """Fetch i's payload as run_day takes it: the child's, else made inline."""
+    fetch, args = listed[i][:2]
+    return arrivals and arrivals.take(i) or fetch(*args)
 
 
 @contextmanager
 def _inline_renders(monkeypatch, delay_s=0.0):
     """Record the gen_* calls of this process, each delayed by delay_s.
 
-    Entered after read_ahead has forked, it leaves the child's renderers
+    Entered after the read-ahead has forked, it leaves the child's renderers
     as they are: the calls it records are the fetches rendered inline.
     """
     calls = []
@@ -358,72 +373,66 @@ def _wait_for_exit(pid: int, timeout_s: float = 30.0) -> None:
 class TestReadAhead:
     def test_every_fetch_of_a_default_day_equals_inline(self, default_cfg, store,
                                                         forks, monkeypatch):
-        requests = _day_requests(default_cfg, store)
-        assert len(requests) == 32 + 2436 + 10
-        want = [getattr(SynthSource(default_cfg.profile), method)(*args)
-                for method, args in requests]
-        src = SynthSource(default_cfg.profile)
-        with src.read_ahead(requests):
+        listed = _day_fetches(default_cfg, store, monkeypatch)
+        assert len(listed) == 32 + 2436 + 10
+        want = [fetch(*args) for fetch, args, *_ in listed]
+        with scheduler._read_ahead(listed) as arrivals:
             # A slow inline render lets the child run ahead, so most
             # payloads are the child's.
             with _inline_renders(monkeypatch, delay_s=0.001) as inline:
-                got = [getattr(src, method)(*args) for method, args in requests]
+                got = [_take(arrivals, listed, i) for i in range(len(listed))]
         assert len(forks) == 1
         assert got == want
-        assert len(inline) < len(requests) // 2
+        assert len(inline) < len(listed) // 2
 
-    def test_unrenderable_and_unlisted_fetches_are_inline(self, forks, monkeypatch):
+    def test_an_unrenderable_fetch_is_made_inline(self, forks, monkeypatch):
         src = SynthSource()
-        polls = [("fetch_traffic", (ROUTE, datetime(2016, 5, 16, 6, m)))
+        polls = [(src.fetch_traffic, (ROUTE, datetime(2016, 5, 16, 6, m)))
                  for m in range(0, 60, 12)]
-        bad = ("fetch_pollution", (MONITOR, DAY, 1))
+        bad = (src.fetch_pollution, (MONITOR, DAY, 1))
         with pytest.raises(ConfigError) as inline_err:
             gen_pollution_day(src.profile, MONITOR, DAY, 1)
-        unlisted = (ROUTE, datetime(2016, 5, 16, 23, 59))
-        with src.read_ahead(polls[:2] + [bad] + polls[2:]):
+        listed = polls[:2] + [bad] + polls[2:]
+        with scheduler._read_ahead(listed) as arrivals:
             _wait_for_exit(forks[0])  # everything it could render has arrived
             with _inline_renders(monkeypatch) as inline:
-                got = [src.fetch_traffic(*args) for _, args in polls[:2]]
+                got = [_take(arrivals, listed, i) for i in range(2)]
                 with pytest.raises(ConfigError) as err:
-                    src.fetch_pollution(*bad[1])
-                got.append(src.fetch_traffic(*unlisted))
-                got += [src.fetch_traffic(*args) for _, args in polls[2:]]
+                    _take(arrivals, listed, 2)
+                got += [_take(arrivals, listed, i) for i in range(3, len(listed))]
         assert str(err.value) == str(inline_err.value)
-        assert inline == [bad[1], unlisted]
-        want = [gen_traffic_response(src.profile, *args)
-                for args in [p[1] for p in polls[:2]] + [unlisted] + [p[1] for p in polls[2:]]]
-        assert got == want
+        assert inline == [bad[1]]
+        assert got == [gen_traffic_response(src.profile, *args) for _, args in polls]
 
     def test_a_parent_ahead_of_the_child_takes_its_later_payloads(self, forks,
                                                                   monkeypatch):
-        # The child blocks at its first render until the parent, having
+        # The child blocks at its first fetch until the parent, having
         # rendered 70 polls inline, opens the gate: the child's frames
-        # then start behind the parent, which must skip to its request.
+        # then start behind the parent, which must skip to its fetch.
         parent = os.getpid()
         gate_r, gate_w = os.pipe()
         blocked = []
+        src = SynthSource()
 
-        def gated(profile, route, at):
+        def gated(route, at):
             if os.getpid() != parent and not blocked:
                 blocked.append(os.read(gate_r, 1))
-            return gen_traffic_response(profile, route, at)
+            return src.fetch_traffic(route, at)
 
-        monkeypatch.setitem(synth._RENDERERS, "fetch_traffic", gated)
-        src = SynthSource()
-        polls = [("fetch_traffic", (ROUTE, datetime(2016, 5, 16, 0, 0) + timedelta(minutes=m)))
-                 for m in range(200)]
+        listed = [(gated, (ROUTE, datetime(2016, 5, 16, 0, 0) + timedelta(minutes=m)))
+                  for m in range(200)]
         try:
-            with src.read_ahead(polls):
+            with scheduler._read_ahead(listed) as arrivals:
                 with _inline_renders(monkeypatch) as inline:
-                    got = [src.fetch_traffic(*args) for _, args in polls[:70]]
+                    got = [_take(arrivals, listed, i) for i in range(70)]
                     os.write(gate_w, b"x")
                     _wait_for_exit(forks[0])
-                    got += [src.fetch_traffic(*args) for _, args in polls[70:]]
+                    got += [_take(arrivals, listed, i) for i in range(70, len(listed))]
         finally:
             os.close(gate_r)
             os.close(gate_w)
-        assert inline == [args for _, args in polls[:70]]
-        assert got == [gen_traffic_response(src.profile, *args) for _, args in polls]
+        assert inline == [args for _, args in listed[:70]]
+        assert got == [gen_traffic_response(src.profile, *args) for _, args in listed]
 
     @pytest.mark.parametrize("gate", ["one cpu", "a second thread", "no fork",
                                       "fork fails", "no affinity call", "SIGCHLD ignored"])
@@ -454,10 +463,11 @@ class TestReadAhead:
         if gate == "SIGCHLD ignored":
             previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         src = SynthSource()
-        polls = [("fetch_traffic", (ROUTE, datetime(2016, 5, 16, 7, m))) for m in range(3)]
+        polls = [(src.fetch_traffic, (ROUTE, datetime(2016, 5, 16, 7, m))) for m in range(3)]
         try:
-            with src.read_ahead(polls), _inline_renders(monkeypatch) as inline:
-                got = [src.fetch_traffic(*args) for _, args in polls]
+            with scheduler._read_ahead(polls) as arrivals, \
+                    _inline_renders(monkeypatch) as inline:
+                got = [_take(arrivals, polls, i) for i in range(len(polls))]
         finally:
             release.set()
             if gate == "a second thread":
@@ -474,13 +484,14 @@ class TestReadAhead:
         assert got == [gen_traffic_response(src.profile, *args) for _, args in polls]
 
     def test_a_child_whose_reader_is_gone_exits_and_prints_nothing(self, tmp_path):
-        # The parent exits inside read_ahead, so the child's next write
+        # The parent exits inside the read-ahead, so the child's next write
         # finds no reader. Both hold the captured pipes until they exit.
         pid_file = tmp_path / "child.pid"
         code = textwrap.dedent(f"""
             import os, sys
             from datetime import date, timedelta
             from urbanobs.config import load_default
+            from urbanobs.scheduler import _read_ahead
             from urbanobs.synth import SynthSource
 
             os.sched_getaffinity = lambda _pid: {{0, 1}}
@@ -496,10 +507,11 @@ class TestReadAhead:
             os.fork = recording_fork
             cfg = load_default()
             # About 2 MB of payloads: more than the pipe holds.
-            requests = [("fetch_weather", (meta, date(2016, 5, 16) + timedelta(days=d)))
-                        for d in range(3) for meta in cfg.weather_stations]
+            src = SynthSource(cfg.profile)
+            listed = [(src.fetch_weather, (meta, date(2016, 5, 16) + timedelta(days=d)))
+                      for d in range(3) for meta in cfg.weather_stations]
             print("buffered, never flushed")
-            with SynthSource(cfg.profile).read_ahead(requests):
+            with _read_ahead(listed):
                 os._exit(0)
         """)
         src = Path(__file__).resolve().parent.parent / "src"
@@ -509,3 +521,57 @@ class TestReadAhead:
                                env=env, timeout=60)
         assert pid_file.read_text(encoding="utf-8").isdigit()
         assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+
+    def test_a_subclass_fetches_in_this_process_and_forks_no_child(self, tiny_cfg, tiny_store,
+                                                                  forks):
+        # An override may have side effects, which a child would lose.
+        polled = []
+
+        class CountingSource(SynthSource):
+            def fetch_traffic(self, route, at):
+                polled.append((route.file_id, at))
+                return super().fetch_traffic(route, at)
+
+        plan = build_plan(tiny_cfg.windows, tiny_cfg.routes, DAY)
+        summary = run_day(plan, CountingSource(tiny_cfg.profile), tiny_store, tiny_cfg)
+        assert forks == []
+        assert polled == [(e.target, e.at) for e in plan.entries if e.kind == TRAFFIC_POLL]
+        assert summary.failures == [] and summary.stored == 72 + 4 + 22
+
+    def test_the_numbering_stays_aligned_past_a_failed_mapping(self, tiny_cfg, tiny_store,
+                                                               forks, monkeypatch):
+        route = tiny_cfg.routes[0].file_id
+        at = [datetime(2016, 5, 16, 6, m) for m in range(0, 60, 10)]
+        plan = CadencePlan(day=DAY, entries=(
+            PlanEntry(at[0], TRAFFIC_POLL, route),
+            PlanEntry(at[1], "bogus", ALL_TARGETS),
+            PlanEntry(at[2], TRAFFIC_POLL, route),
+            PlanEntry(at[3], TRAFFIC_POLL, "nowhere"),
+            PlanEntry(at[4], TRAFFIC_POLL, route),
+            PlanEntry(at[5], TRAFFIC_POLL, route),
+        ))
+
+        class ChildDoneClock(SimulatedClock):
+            """Each wait first waits for the child to have sent everything."""
+
+            def wait_until(self, when):
+                _wait_for_exit(forks[0])
+                super().wait_until(when)
+
+        class InlineSource(SynthSource):
+            pass
+
+        with Store(":memory:") as want:
+            bootstrap_store(want, tiny_cfg)
+            expected = run_day(plan, InlineSource(tiny_cfg.profile), want, tiny_cfg)
+            with _inline_renders(monkeypatch) as inline:
+                summary = run_day(plan, SynthSource(tiny_cfg.profile), tiny_store, tiny_cfg,
+                                  clock=ChildDoneClock(datetime(2016, 5, 16, 0, 0)))
+            assert len(forks) == 1
+            assert inline == []
+            assert summary.failures == [
+                "bogus *: unknown task kind 'bogus'",
+                "traffic_poll nowhere: plan names unknown route 'nowhere'",
+            ]
+            assert summary == expected and (summary.fired, summary.stored) == (6, 4)
+            assert list(tiny_store._conn.iterdump()) == list(want._conn.iterdump())
